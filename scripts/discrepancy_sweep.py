@@ -46,7 +46,7 @@ def main() -> int:
     )
     for p in primes:
         samples = eicg_stream(StreamSpec.eicg(p, args.a, args.b), p)
-        rep = serial_test(samples, args.k, lags)
+        rep = serial_test(samples.u, args.k, lags)
         bound = rep.theorem2_upper if rep.theorem2_upper is not None else float("nan")
         print(
             f"{p:>6}  {rep.star:>10.6f}  {rep.extreme_upper:>10.6f}  "

@@ -44,7 +44,7 @@ def main() -> int:
         samples = eicg_stream(StreamSpec.eicg(p, a, 0), p)
         # the star discrepancy lower-bounds the extreme discrepancy the
         # theorem speaks about, so this undercounts if anything
-        star = star_discrepancy(make_tuples(samples, k, lags))
+        star = star_discrepancy(make_tuples(samples.u, k, lags))
         exceeding += star >= threshold
         total += 1
     print(f"p={p} k={k} t={args.t}")

@@ -51,9 +51,9 @@ from .modular import (
     phi_p,
 )
 from .prng import (
+    Stream,
     StreamKind,
     StreamSpec,
-    UnitSample,
     compound_stream,
     eicg_pow2_stream,
     eicg_stream,

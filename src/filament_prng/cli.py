@@ -16,8 +16,8 @@ from typing import Sequence
 from .errors import BadParameters, DomainError
 from .filament import PolygonConfig, RationalTime, build_polygon
 from .prng import (
+    Stream,
     StreamSpec,
-    UnitSample,
     compound_stream,
     eicg_pow2_stream,
     eicg_stream,
@@ -76,6 +76,12 @@ class RunConfig:
     sides_range: tuple[int, int] | None = None
     output_path: str | None = None
     format: str = "csv"
+
+    def __post_init__(self):
+        if self.count is not None and self.count < 0:
+            raise BadParameters(f"-n must be nonnegative, got {self.count}")
+        if self.start < 0:
+            raise BadParameters(f"--start must be nonnegative, got {self.start}")
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -217,9 +223,8 @@ def _require(value, flag: str):
     return value
 
 
-def _unit_stream(cfg: RunConfig) -> tuple[list[UnitSample], int | None]:
-    """Samples for the unit-interval kinds; the modulus comes along when the
-    raw integer state is meaningful (x = u * q)."""
+def _unit_stream(cfg: RunConfig) -> Stream:
+    """The stream of one of the unit-interval kinds."""
     if cfg.kind == "eicg":
         spec = StreamSpec.eicg(
             _require(cfg.q, "-q"),
@@ -227,7 +232,7 @@ def _unit_stream(cfg: RunConfig) -> tuple[list[UnitSample], int | None]:
             b=cfg.b if cfg.b is not None else 0,
         )
         count = cfg.count if cfg.count is not None else spec.q
-        return eicg_stream(spec, count, cfg.start), spec.q
+        return eicg_stream(spec, count, cfg.start)
     if cfg.kind == "eicg-pow2":
         omega = cfg.omega
         if omega is None and cfg.q:
@@ -238,7 +243,7 @@ def _unit_stream(cfg: RunConfig) -> tuple[list[UnitSample], int | None]:
             b=cfg.b if cfg.b is not None else 1,
         )
         count = cfg.count if cfg.count is not None else spec.q // 2
-        return eicg_pow2_stream(spec, count, cfg.start), spec.q
+        return eicg_pow2_stream(spec, count, cfg.start)
     if cfg.kind == "lcg":
         if cfg.preset == "randu":
             spec = randu_preset()
@@ -249,14 +254,14 @@ def _unit_stream(cfg: RunConfig) -> tuple[list[UnitSample], int | None]:
                 _require(cfg.q, "-q"),
                 cfg.x0,
             )
-        return lcg_stream(spec, _require(cfg.count, "-n"), cfg.start), spec.q
+        return lcg_stream(spec, _require(cfg.count, "-n"), cfg.start)
     if cfg.kind == "compound":
         if not cfg.primes:
             raise BadParameters("compound streams need --primes")
         count = _require(cfg.count, "-n")
-        return compound_stream(cfg.sides, cfg.primes, count, cfg.start), None
+        return compound_stream(cfg.sides, cfg.primes, count, cfg.start)
     if cfg.kind == "vfe":
-        return vfe_unit_samples(_require(cfg.q, "-q")), None
+        return vfe_unit_samples(_require(cfg.q, "-q"))
     raise BadParameters(f"unknown stream kind {cfg.kind!r}")
 
 
@@ -268,18 +273,18 @@ def cmd_generate(cfg: RunConfig) -> int:
         elif cfg.format == "json":
             payload = circle_points_json(points)
         else:
-            payload = f64le_bytes(
-                coord for pt in points for coord in (pt.re, pt.im)
-            )
+            payload = f64le_bytes([c for pt in points for c in (pt.re, pt.im)])
         _emit(payload, cfg.output_path)
         return EXIT_OK
-    samples, q = _unit_stream(cfg)
+    stream = _unit_stream(cfg)
+    # Compound states live in the product ring; its rows carry u only.
+    x_column = cfg.kind != "compound"
     if cfg.format == "csv":
-        payload = unit_samples_csv(samples, q)
+        payload = unit_samples_csv(stream, x_column)
     elif cfg.format == "json":
-        payload = unit_samples_json(samples, q)
+        payload = unit_samples_json(stream, x_column)
     else:
-        payload = f64le_bytes(s.u for s in samples)
+        payload = f64le_bytes(stream.u)
     _emit(payload, cfg.output_path)
     return EXIT_OK
 
@@ -314,9 +319,9 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_stats(cfg: RunConfig) -> int:
     if cfg.action == "serial":
-        samples, _ = _unit_stream(cfg)
+        stream = _unit_stream(cfg)
         lags = cfg.lags if cfg.lags is not None else tuple(range(cfg.k))
-        report = serial_test(samples, cfg.k, lags)
+        report = serial_test(stream.u, cfg.k, lags)
         _emit(report_json(report.as_dict()), cfg.output_path)
         return EXIT_OK
     if cfg.action == "randu-planes":
@@ -325,12 +330,12 @@ def cmd_stats(cfg: RunConfig) -> int:
         _emit(report_json(payload), cfg.output_path)
         return EXIT_OK
     if cfg.action == "chi2":
-        samples, _ = _unit_stream(cfg)
-        statistic, bins = chi_square_uniformity(samples, cfg.bins)
+        stream = _unit_stream(cfg)
+        statistic, bins = chi_square_uniformity(stream.u, cfg.bins)
         payload = {
             "statistic": statistic,
             "bins": bins,
-            "samples": len(samples),
+            "samples": len(stream),
             "chi2_quantile_999": chi2_quantile_999(bins - 1),
         }
         _emit(report_json(payload), cfg.output_path)
@@ -360,8 +365,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse reports usage errors with code 2
         return int(exc.code) if exc.code else EXIT_OK
-    cfg = _to_config(args)
     try:
+        cfg = _to_config(args)
         return _DISPATCH[cfg.command](cfg)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

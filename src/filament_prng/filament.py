@@ -130,16 +130,8 @@ def rotation_matrix(angle: CornerAngle, theta: float) -> CornerRotation:
     Identity when rho = 0; for theta = 0 it reduces to an in-plane turn
     [[c, s, 0], [-s, c, 0], [0, 0, 1]].
     """
-    c, s = angle.cos_rho, angle.sin_rho
-    ct, st = math.cos(theta), math.sin(theta)
-    m = np.array(
-        [
-            [c, s * ct, s * st],
-            [-s * ct, c * ct * ct + st * st, (c - 1.0) * ct * st],
-            [-s * st, (c - 1.0) * ct * st, c * st * st + ct * ct],
-        ]
-    )
-    return CornerRotation(theta=theta, matrix=m)
+    matrix = _rotation_stack(angle, np.array([theta]))[0]
+    return CornerRotation(theta=theta, matrix=matrix)
 
 
 def _active_thetas(config: PolygonConfig) -> np.ndarray:
@@ -296,6 +288,14 @@ def corner_products(
     return triples, scalars
 
 
+def circle_point(angle: CornerAngle, u: float, p: int) -> CirclePoint:
+    """The point i c^2 - i s^2 exp(2 pi i u) of the circle of center i c^2
+    and radius s^2, labelled with its index p."""
+    alpha = TWO_PI * u
+    c2, s2 = angle.cos_rho**2, angle.sin_rho**2
+    return CirclePoint(re=s2 * math.sin(alpha), im=c2 - s2 * math.cos(alpha), p=p)
+
+
 def z_qm_closed(sides: int, q: int, p: int, m: int) -> CirclePoint:
     """Closed form of triple + i * scalar at quantity index m:
     i c^2 - i s^2 exp(2 pi i phi (2m+1) / q), or with exponent
@@ -306,6 +306,4 @@ def z_qm_closed(sides: int, q: int, p: int, m: int) -> CirclePoint:
         num, den = res.phi * m, res.effective_modulus
     else:
         num, den = res.phi * (2 * m + 1), q
-    alpha = TWO_PI * ((num % den) / den)
-    c2, s2 = angle.cos_rho**2, angle.sin_rho**2
-    return CirclePoint(re=s2 * math.sin(alpha), im=c2 - s2 * math.cos(alpha), p=p)
+    return circle_point(angle, (num % den) / den, p)

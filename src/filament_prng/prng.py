@@ -3,8 +3,10 @@
 The circle stream reads off the tangent-evolution closed form for every
 admissible index p; explicit inversive generators (prime and power-of-two
 moduli) and a linear congruential reference (including the RANDU preset)
-accompany it.  All streams are deterministic and restartable from
-(spec, start index); disjoint ranges concatenate bit-identically.
+accompany it.  Every unit-interval stream is a `Stream`: the exact integer
+states x_n with their indices and modulus.  All streams are deterministic
+and restartable from (spec, start index); disjoint ranges concatenate
+bit-identically.
 """
 
 from __future__ import annotations
@@ -15,9 +17,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .errors import BadParameters, BadPrimes, CompositeModulus
-from .filament import CirclePoint, corner_angle, z_qm_closed
-from .modular import coprime_residues, is_probable_prime, mod_inverse, phi_p
+import numpy as np
+
+from .errors import BadParameters, BadPrimes, CompositeModulus, RangeError
+from .filament import CirclePoint, circle_point, corner_angle, z_qm_closed
+from .modular import MAX_MODULUS, coprime_residues, is_probable_prime, mod_inverse, phi_p
 
 
 class StreamKind(Enum):
@@ -28,12 +32,29 @@ class StreamKind(Enum):
     COMPOUND = "compound"
 
 
-@dataclass(frozen=True, slots=True)
-class UnitSample:
-    """One normalized sample u in [0, 1) at stream index n."""
+@dataclass(frozen=True, eq=False)
+class Stream:
+    """Integer states x_n in Z_modulus at stream indices n (int64 arrays).
 
-    u: float
-    n: int
+    Indexing gives the same record for one index or a slice.  MAX_MODULUS
+    keeps every state in an int64 and makes u = x / modulus the correctly
+    rounded double of the exact fraction.
+    """
+
+    n: np.ndarray
+    x: np.ndarray
+    modulus: int
+
+    @property
+    def u(self) -> np.ndarray:
+        """The normalized samples x_n / modulus in [0, 1)."""
+        return self.x / self.modulus
+
+    def __len__(self) -> int:
+        return len(self.n)
+
+    def __getitem__(self, index) -> "Stream":
+        return Stream(self.n[index], self.x[index], self.modulus)
 
 
 @dataclass(frozen=True)
@@ -49,6 +70,10 @@ class StreamSpec:
     sides: int = 3
 
     def __post_init__(self):
+        if self.modulus > MAX_MODULUS:
+            raise RangeError(
+                f"{self.kind.value} modulus {self.modulus} exceeds supported bound 2**31"
+            )
         if self.kind is StreamKind.EICG:
             if not is_probable_prime(self.q):
                 raise CompositeModulus(f"EICG modulus {self.q} is not prime")
@@ -79,9 +104,17 @@ class StreamSpec:
                 if prime < 5 or not is_probable_prime(prime):
                     raise BadPrimes(f"need distinct primes >= 5, got {self.primes}")
 
+    @property
+    def modulus(self) -> int:
+        """The defining modulus, at most MAX_MODULUS: q, or prod(primes) for
+        compound."""
+        if self.kind is StreamKind.COMPOUND:
+            return math.prod(self.primes)
+        return self.q
+
     @classmethod
     def lcg(cls, a: int, b: int, q: int, x0: int = 1) -> "StreamSpec":
-        return cls(kind=StreamKind.LCG, q=q, a=a, b=b, x0=x0 % q)
+        return cls(kind=StreamKind.LCG, q=q, a=a, b=b, x0=x0)
 
     @classmethod
     def eicg(cls, q: int, a: int = 4, b: int = 0) -> "StreamSpec":
@@ -110,35 +143,25 @@ def _expect(spec: StreamSpec, kind: StreamKind) -> None:
         raise BadParameters(f"expected a {kind.value} spec, got {spec.kind.value}")
 
 
-def lcg_stream(spec: StreamSpec, count: int, start: int = 0) -> list[UnitSample]:
+def _stream(n: Sequence[int], x: Sequence[int], modulus: int) -> Stream:
+    return Stream(np.asarray(n, dtype=np.int64), np.asarray(x, dtype=np.int64), modulus)
+
+
+def lcg_stream(spec: StreamSpec, count: int, start: int = 0) -> Stream:
     """x_{n+1} = a x_n + b mod q from x0, normalized to u_n = x_n / q."""
     _expect(spec, StreamKind.LCG)
-    q = spec.q
+    q, a, b = spec.q, spec.a, spec.b
     x = spec.x0 % q
     for _ in range(start):
-        x = (spec.a * x + spec.b) % q
-    out = []
-    for n in range(start, start + count):
-        out.append(UnitSample(u=x / q, n=n))
-        x = (spec.a * x + spec.b) % q
-    return out
-
-
-def lcg_ints(spec: StreamSpec, count: int, start: int = 0) -> list[int]:
-    """The raw integer states x_n of an LCG (same indexing as lcg_stream)."""
-    _expect(spec, StreamKind.LCG)
-    q = spec.q
-    x = spec.x0 % q
-    for _ in range(start):
-        x = (spec.a * x + spec.b) % q
-    out = []
+        x = (a * x + b) % q
+    xs = []
     for _ in range(count):
-        out.append(x)
-        x = (spec.a * x + spec.b) % q
-    return out
+        xs.append(x)
+        x = (a * x + b) % q
+    return _stream(np.arange(start, start + count), xs, q)
 
 
-def eicg_stream(spec: StreamSpec, count: int, start: int = 0) -> list[UnitSample]:
+def eicg_stream(spec: StreamSpec, count: int, start: int = 0) -> Stream:
     """Explicit inversive stream x_n = (a n + b)^-1 mod prime q, 0 -> 0.
 
     Inverses follow the exponentiation route x^(q-2) mod q; one full period
@@ -146,15 +169,14 @@ def eicg_stream(spec: StreamSpec, count: int, start: int = 0) -> list[UnitSample
     """
     _expect(spec, StreamKind.EICG)
     q, a, b = spec.q, spec.a, spec.b
-    out = []
+    xs = []
     for n in range(start, start + count):
         v = (a * n + b) % q
-        x = pow(v, q - 2, q) if v else 0
-        out.append(UnitSample(u=x / q, n=n))
-    return out
+        xs.append(pow(v, q - 2, q) if v else 0)
+    return _stream(np.arange(start, start + count), xs, q)
 
 
-def eicg_pow2_stream(spec: StreamSpec, count: int, start: int = 0) -> list[UnitSample]:
+def eicg_pow2_stream(spec: StreamSpec, count: int, start: int = 0) -> Stream:
     """Power-of-two inversive stream x_n = (a n + b)^-1 mod 2**omega.
 
     With a = 2 mod 4 and odd b the argument is always odd, the period is
@@ -162,11 +184,20 @@ def eicg_pow2_stream(spec: StreamSpec, count: int, start: int = 0) -> list[UnitS
     """
     _expect(spec, StreamKind.EICG_POW2)
     q, a, b = spec.q, spec.a, spec.b
-    out = []
-    for n in range(start, start + count):
-        x = pow((a * n + b) % q, -1, q)
-        out.append(UnitSample(u=x / q, n=n))
-    return out
+    xs = [pow((a * n + b) % q, -1, q) for n in range(start, start + count)]
+    return _stream(np.arange(start, start + count), xs, q)
+
+
+def vfe_unit_samples(q: int) -> Stream:
+    """The circle phases x_p = phi(p) in the effective modulus, one per
+    residue p coprime to q, ascending p.
+
+    For prime q these coincide with eicg_stream(q, a=4, b=0) at indices p.
+    """
+    residues = coprime_residues(q)
+    phis = [phi_p(p, q) for p in residues]
+    modulus = phis[0].effective_modulus if phis else q
+    return _stream(residues, [res.phi for res in phis], modulus)
 
 
 def vfe_stream(sides: int, q: int) -> list[CirclePoint]:
@@ -177,27 +208,11 @@ def vfe_stream(sides: int, q: int) -> list[CirclePoint]:
     empty stream).  `sides` only sets the circle geometry through rho.
     """
     angle = corner_angle(sides, q)
-    c2, s2 = angle.cos_rho**2, angle.sin_rho**2
-    out = []
-    for p in coprime_residues(q):
-        res = phi_p(p, q)
-        alpha = 2.0 * math.pi * (res.phi / res.effective_modulus)
-        out.append(
-            CirclePoint(re=s2 * math.sin(alpha), im=c2 - s2 * math.cos(alpha), p=p)
-        )
-    return out
-
-
-def vfe_unit_samples(q: int) -> list[UnitSample]:
-    """The circle phases u_p = phi(p) / effective modulus as a unit stream.
-
-    For prime q these coincide with eicg_stream(q, a=4, b=0) at indices p.
-    """
-    out = []
-    for p in coprime_residues(q):
-        res = phi_p(p, q)
-        out.append(UnitSample(u=res.phi / res.effective_modulus, n=p))
-    return out
+    phases = vfe_unit_samples(q)
+    return [
+        circle_point(angle, u, p)
+        for p, u in zip(phases.n.tolist(), phases.u.tolist())
+    ]
 
 
 def compound_identity_residual(sides: int, primes: Sequence[int], p: int, u: float) -> float:
@@ -210,38 +225,37 @@ def compound_identity_residual(sides: int, primes: Sequence[int], p: int, u: flo
     return abs(lhs - cmath.exp(2j * math.pi * u))
 
 
-def compound_stream(
-    sides: int, primes: Sequence[int], count: int, start: int = 0
-) -> list[UnitSample]:
+def compound_stream(sides: int, primes: Sequence[int], count: int, start: int = 0) -> Stream:
     """Combined phases u_p = sum_j phi_j(p)/q_j mod 1 with phi_j = (4p)^-1
     mod q_j, over indices p coprime to every prime, ascending.
 
-    u_p is assembled exactly over the common denominator prod(q_j), and each
-    emitted sample is checked against the circle-product identity
+    x_p is assembled exactly over the common denominator prod(q_j), and
+    each emitted sample is checked against the circle-product identity
     prod_j (c_j^2 + i z_j(p)) / s_j^2 = exp(2 pi i u_p).
     """
     spec = StreamSpec.compound(primes, sides=sides)
     qs = spec.primes
-    modulus = math.prod(qs)
+    modulus = spec.modulus
     weights = [modulus // qj for qj in qs]
-    out: list[UnitSample] = []
+    ns: list[int] = []
+    xs: list[int] = []
     p = 0
     to_skip = start
-    while len(out) < count:
+    while len(ns) < count:
         p += 1
         if math.gcd(p, modulus) != 1:
             continue
         if to_skip:
             to_skip -= 1
             continue
-        num = sum(mod_inverse(4 * p, qj).value * w for qj, w in zip(qs, weights))
-        u = (num % modulus) / modulus
-        if compound_identity_residual(sides, qs, p, u) > 1e-9:
+        x = sum(mod_inverse(4 * p, qj).value * w for qj, w in zip(qs, weights)) % modulus
+        if compound_identity_residual(sides, qs, p, x / modulus) > 1e-9:
             raise ArithmeticError(
                 f"circle-product identity violated at p={p} for primes {qs}"
             )
-        out.append(UnitSample(u=u, n=p))
-    return out
+        ns.append(p)
+        xs.append(x)
+    return _stream(ns, xs, modulus)
 
 
 def parallel_streams_distinct(q: int, params: Sequence[tuple[int, int]]) -> bool:

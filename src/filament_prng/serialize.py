@@ -9,37 +9,34 @@ for feeding external test batteries.
 from __future__ import annotations
 
 import json
-import struct
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .filament import CirclePoint
-from .prng import UnitSample
+from .prng import Stream
 
 
 def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def unit_samples_csv(samples: Sequence[UnitSample], q: int | None = None) -> str:
-    """Rows (n, x, u) when the integer state is recoverable as u*q, else (n, u)."""
-    if q is not None:
-        lines = ["n,x,u"]
-        lines += [
-            f"{s.n},{round(s.u * q)},{format_float(s.u)}" for s in samples
-        ]
+def unit_samples_csv(stream: Stream, x_column: bool = True) -> str:
+    """Rows (n, x, u), or (n, u) without the integer state column."""
+    n, x, u = stream.n.tolist(), stream.x.tolist(), stream.u.tolist()
+    if x_column:
+        lines = ["n,x,u"] + [f"{a},{b},{format_float(c)}" for a, b, c in zip(n, x, u)]
     else:
-        lines = ["n,u"]
-        lines += [f"{s.n},{format_float(s.u)}" for s in samples]
+        lines = ["n,u"] + [f"{a},{format_float(c)}" for a, c in zip(n, u)]
     return "\n".join(lines) + "\n"
 
 
-def unit_samples_json(samples: Sequence[UnitSample], q: int | None = None) -> str:
-    if q is not None:
-        rows = [{"n": s.n, "x": round(s.u * q), "u": s.u} for s in samples]
+def unit_samples_json(stream: Stream, x_column: bool = True) -> str:
+    n, x, u = stream.n.tolist(), stream.x.tolist(), stream.u.tolist()
+    if x_column:
+        rows = [{"n": a, "x": b, "u": c} for a, b, c in zip(n, x, u)]
     else:
-        rows = [{"n": s.n, "u": s.u} for s in samples]
+        rows = [{"n": a, "u": c} for a, c in zip(n, u)]
     return json.dumps(rows, indent=2) + "\n"
 
 
@@ -56,9 +53,8 @@ def circle_points_json(points: Sequence[CirclePoint]) -> str:
     return json.dumps(rows, indent=2) + "\n"
 
 
-def f64le_bytes(values: Iterable[float]) -> bytes:
-    vals = list(values)
-    return struct.pack(f"<{len(vals)}d", *vals)
+def f64le_bytes(values: np.ndarray | Sequence[float]) -> bytes:
+    return np.asarray(values).astype("<f8").tobytes()
 
 
 def polygon_csv(vertices: np.ndarray) -> str:

@@ -15,9 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadDimension, BadLags, BadT, EmptyInput, TooLarge
+from .errors import BadDimension, BadLags, BadParameters, BadT, EmptyInput, TooLarge
 from .modular import is_probable_prime
-from .prng import UnitSample, randu_preset
+from .prng import randu_preset
 
 MAX_EXACT_POINTS = 4096
 MAX_EXACT_DIM = 3
@@ -71,15 +71,9 @@ class BoundReport:
     a_p_t: float
 
 
-def _unit_values(samples: Sequence) -> np.ndarray:
-    return np.array(
-        [s.u if isinstance(s, UnitSample) else float(s) for s in samples]
-    )
-
-
-def make_tuples(samples: Sequence, k: int, lags: Sequence[int]) -> TupleCloud:
+def make_tuples(samples: Sequence[float], k: int, lags: Sequence[int]) -> TupleCloud:
     """One k-tuple per sample index, indices wrapping modulo the period."""
-    u = _unit_values(samples)
+    u = np.asarray(samples, dtype=float)
     n = len(u)
     if n == 0:
         raise EmptyInput("no samples")
@@ -210,7 +204,7 @@ def bound_report(p: int, k: int, t: float = 0.5) -> BoundReport:
     )
 
 
-def serial_test(samples: Sequence, k: int, lags: Sequence[int]) -> DiscrepancyReport:
+def serial_test(samples: Sequence[float], k: int, lags: Sequence[int]) -> DiscrepancyReport:
     """Star discrepancy of the wraparound k-tuples with the enclosure
     [D*, 2^k D*]; the reference bounds are attached when the sample count
     is prime (the full-period case they apply to)."""
@@ -236,7 +230,7 @@ def randu_plane_labels(sample_count: int) -> set[int]:
     """Distinct integers (x_{n+2} - 6 x_{n+1} + 9 x_n) / 2^31 over RANDU
     triples; each labels one plane 9x - 6y + z = label in the unit cube."""
     if sample_count < 3:
-        raise ValueError(f"need at least 3 samples, got {sample_count}")
+        raise BadParameters(f"need at least 3 samples, got {sample_count}")
     spec = randu_preset()
     q, a = spec.q, spec.a
     x0 = spec.x0 % q
@@ -257,11 +251,11 @@ def randu_plane_count(sample_count: int) -> int:
     return len(randu_plane_labels(sample_count))
 
 
-def chi_square_uniformity(samples: Sequence, bins: int) -> tuple[float, int]:
+def chi_square_uniformity(samples: Sequence[float], bins: int) -> tuple[float, int]:
     """Pearson chi^2 statistic of the sample histogram against uniformity."""
     if bins < 2:
-        raise ValueError(f"need at least 2 bins, got {bins}")
-    u = _unit_values(samples)
+        raise BadParameters(f"need at least 2 bins, got {bins}")
+    u = np.asarray(samples, dtype=float)
     if u.size == 0:
         raise EmptyInput("no samples")
     counts = np.bincount((u * bins).astype(np.int64), minlength=bins)
@@ -298,5 +292,8 @@ _CHI2_Q999 = (
 def chi2_quantile_999(dof: int) -> float:
     """99.9% quantile of the chi^2 distribution, dof in 1..100."""
     if not 1 <= dof <= len(_CHI2_Q999):
-        raise ValueError(f"quantile table covers dof 1..{len(_CHI2_Q999)}")
+        raise BadParameters(
+            f"quantile table covers dof 1..{len(_CHI2_Q999)} "
+            f"(2..{len(_CHI2_Q999) + 1} bins), got dof {dof}"
+        )
     return _CHI2_Q999[dof - 1]

@@ -3,18 +3,15 @@ transport against the closed form, closure of the corner-rotation product,
 and the compound product identity.
 
 Shared by the `verify` CLI subcommand and the acceptance test suite.  The
-FILAMENT_PRNG_THREADS environment variable caps the worker pool used for
-the per-modulus sweeps; reductions are max-only, so the result does not
-depend on scheduling.
+sweeps run in one thread: they are bound by the interpreter lock, so more
+threads would not make them faster.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,22 +40,6 @@ class SuiteResult:
             f"{self.name:<18} {status}  cases={self.cases:<8} "
             f"max_error={self.max_error:.3e}  tolerance={self.tolerance:.1e}"
         )
-
-
-def worker_count() -> int:
-    """Worker cap from FILAMENT_PRNG_THREADS (default: single-threaded)."""
-    try:
-        return max(1, int(os.environ.get("FILAMENT_PRNG_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map(fn: Callable, items: Iterable, workers: int | None = None) -> list:
-    workers = worker_count() if workers is None else workers
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _sweep_residues(q: int) -> list[int]:
@@ -97,10 +78,10 @@ def _gauss_errors_for_q(q: int) -> tuple[float, float, int, int]:
     return mag_err, closed_err, mag_cases, closed_cases
 
 
-def verify_gauss(q_max: int = 300, workers: int | None = None) -> list[SuiteResult]:
+def verify_gauss(q_max: int = 300) -> list[SuiteResult]:
     """Magnitude law and closed forms against literal summation, for every
     coprime (p, q) with q <= q_max and every index m."""
-    rows = _map(_gauss_errors_for_q, range(1, q_max + 1), workers)
+    rows = [_gauss_errors_for_q(q) for q in range(1, q_max + 1)]
     mag_err = max(r[0] for r in rows)
     closed_err = max(r[1] for r in rows)
     return [
@@ -109,8 +90,7 @@ def verify_gauss(q_max: int = 300, workers: int | None = None) -> list[SuiteResu
     ]
 
 
-def _theorem1_error_for_q(args: tuple[int, int]) -> tuple[float, int]:
-    sides, q = args
+def _theorem1_error_for_q(sides: int, q: int) -> tuple[float, int]:
     worst = 0.0
     cases = 0
     for p in _sweep_residues(q):
@@ -125,18 +105,15 @@ def _theorem1_error_for_q(args: tuple[int, int]) -> tuple[float, int]:
 
 
 def verify_theorem1(
-    sides_range: tuple[int, int] = (3, 8),
-    q_max: int = 40,
-    workers: int | None = None,
+    sides_range: tuple[int, int] = (3, 8), q_max: int = 40
 ) -> SuiteResult:
     """Geometric triple/scalar products from frame transport against the
     closed form, for every valid (sides, q, p, m)."""
-    jobs = [
-        (sides, q)
+    rows = [
+        _theorem1_error_for_q(sides, q)
         for sides in range(sides_range[0], sides_range[1] + 1)
         for q in range(1, q_max + 1)
     ]
-    rows = _map(_theorem1_error_for_q, jobs, workers)
     return SuiteResult(
         "theorem1",
         sum(r[1] for r in rows),
@@ -145,8 +122,7 @@ def verify_theorem1(
     )
 
 
-def _closure_error_for_q(args: tuple[int, int]) -> tuple[float, int]:
-    sides, q = args
+def _closure_error_for_q(sides: int, q: int) -> tuple[float, int]:
     worst = 0.0
     cases = 0
     for p in _sweep_residues(q):
@@ -157,18 +133,15 @@ def _closure_error_for_q(args: tuple[int, int]) -> tuple[float, int]:
 
 
 def verify_closure(
-    sides_range: tuple[int, int] = (3, 10),
-    q_max: int = 50,
-    workers: int | None = None,
+    sides_range: tuple[int, int] = (3, 10), q_max: int = 50
 ) -> SuiteResult:
     """Frobenius residual of the full-period rotation product against the
     identity, for every valid (sides, q, p)."""
-    jobs = [
-        (sides, q)
+    rows = [
+        _closure_error_for_q(sides, q)
         for sides in range(sides_range[0], sides_range[1] + 1)
         for q in range(1, q_max + 1)
     ]
-    rows = _map(_closure_error_for_q, jobs, workers)
     return SuiteResult(
         "closure",
         sum(r[1] for r in rows),
@@ -192,10 +165,8 @@ def verify_compound(
     for primes in prime_sets:
         modulus = math.prod(primes)
         count = sum(1 for p in range(1, p_max + 1) if math.gcd(p, modulus) == 1)
-        for sample in compound_stream(sides, primes, count):
-            worst = max(
-                worst,
-                compound_identity_residual(sides, tuple(primes), sample.n, sample.u),
-            )
-            cases += 1
+        stream = compound_stream(sides, primes, count)
+        for p, u in zip(stream.n.tolist(), stream.u.tolist()):
+            worst = max(worst, compound_identity_residual(sides, tuple(primes), p, u))
+        cases += len(stream)
     return SuiteResult("compound", cases, worst, 1e-9)

@@ -15,7 +15,7 @@ from filament_prng.prng import (
     StreamSpec,
     eicg_pow2_stream,
     eicg_stream,
-    lcg_ints,
+    lcg_stream,
     randu_preset,
     vfe_stream,
 )
@@ -107,17 +107,17 @@ def test_criterion_5_eicg_structure():
     checked = 0
     for q in sieve_primes(10_000):
         a = 4 if 4 % q else 1  # a must not vanish mod q (q = 2)
-        xs = [round(s.u * q) for s in eicg_stream(StreamSpec.eicg(q, a, 0), q)]
+        xs = eicg_stream(StreamSpec.eicg(q, a, 0), q).x.tolist()
         assert sorted(xs) == list(range(q)), f"not a permutation at q={q}"
         checked += 1
     for q, a, b in [(101, 1, 0), (101, 17, 5), (499, 3, 11), (1009, 99, 98)]:
-        xs = [round(s.u * q) for s in eicg_stream(StreamSpec.eicg(q, a, b), q)]
+        xs = eicg_stream(StreamSpec.eicg(q, a, b), q).x.tolist()
         assert sorted(xs) == list(range(q)), f"not a permutation at {(q, a, b)}"
     odd_ok = True
     for omega in range(5, 17):
         spec = StreamSpec.eicg_pow2(omega, a=2, b=1)
         period = 1 << (omega - 1)
-        xs = {round(s.u * spec.q) for s in eicg_pow2_stream(spec, period)}
+        xs = set(eicg_pow2_stream(spec, period).x.tolist())
         odd_ok = odd_ok and xs == set(range(1, spec.q, 2))
     elapsed = time.time() - start
     report(
@@ -130,7 +130,7 @@ def test_criterion_5_eicg_structure():
 
 def test_criterion_6_randu():
     q = 2**31
-    xs = lcg_ints(randu_preset(), 1_000_000)
+    xs = lcg_stream(randu_preset(), 1_000_000).x.tolist()
     recurrence_ok = all(
         (9 * x0 - 6 * x1 + x2) % q == 0 for x0, x1, x2 in zip(xs, xs[1:], xs[2:])
     )
@@ -149,7 +149,7 @@ def test_criterion_7_serial_vs_theorem2():
     ok = True
     for q in (101, 211, 499):
         samples = eicg_stream(StreamSpec.eicg(q, 4, 0), q)
-        star = star_discrepancy(make_tuples(samples, 2, (0, 1)))
+        star = star_discrepancy(make_tuples(samples.u, 2, (0, 1)))
         bound = theorem2_upper(q, 2)
         ok = ok and 4.0 * star <= bound
         lines.append(f"q={q}: D*={star:.5f}, 4D*={4 * star:.5f} <= {bound:.5f}")

@@ -67,7 +67,7 @@ def test_generate_f64le(tmp_path, capsys):
     assert code == EXIT_OK
     raw = target.read_bytes()
     values = struct.unpack(f"<{len(raw) // 8}d", raw)
-    expected = [s.u for s in eicg_stream(StreamSpec.eicg(11, 4, 0), 11)]
+    expected = eicg_stream(StreamSpec.eicg(11, 4, 0), 11).u.tolist()
     assert list(values) == expected
 
 
@@ -86,6 +86,34 @@ def test_generate_composite_eicg_modulus(capsys):
 def test_bad_subcommand_usage_exit(capsys):
     assert main(["bogus"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # moduli beyond MAX_MODULUS = 2**31, for every stream kind
+        "generate --kind eicg -q 4294967311",
+        "generate --kind eicg-pow2 --omega 80",
+        "generate --kind lcg -a 3 -b 1 -q 4294967296 -n 3",
+        "generate --kind compound --primes 5,7,11,13,17,19,23,29,31,37,41,43,47,53,59,61 -n 3",
+        "stats serial --kind eicg-pow2 --omega 32",
+        "verify compound --primes 5,7,11,13,17,19,23,29,31 --pmax 10",
+        # malformed values
+        "generate --kind lcg -a 3 -b 1 -q 0 -n 3",
+        "stats chi2 --kind eicg -q 101 --bins 1",
+        "stats chi2 --kind eicg -q 101 --bins 200",
+        "generate --kind eicg -q 101 -n -5",
+        "generate --kind eicg -q 101 --start -1",
+        "stats randu-planes -n -5",
+        "stats randu-planes -n 2",
+    ],
+)
+def test_usage_errors_exit_2_without_traceback(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_polygon_triangle(capsys):
@@ -200,7 +228,7 @@ def test_format_float_round_trips():
 
 def test_unit_samples_csv_x_column_exact():
     samples = eicg_stream(StreamSpec.eicg(101, 4, 0), 101)
-    text = unit_samples_csv(samples, q=101)
+    text = unit_samples_csv(samples)
     for line in text.strip().splitlines()[1:]:
         n, x, u = line.split(",")
         assert int(x) == round(float(u) * 101)

@@ -1,0 +1,105 @@
+"""Byte-identity gate for the command line.
+
+Each entry pins the sha256 of the file one invocation writes: the
+`generate`, `stats` and `polygon` examples of README.md, plus json, f64le
+and --start variants of every stream kind.  The digests were taken before
+the streams carried their integer state as arrays, so they show that
+carrying it changed no output byte.  A digest changes only with a
+deliberate change of output format.
+"""
+
+import hashlib
+
+import pytest
+
+from filament_prng.cli import EXIT_OK, main
+
+GOLDEN = {
+    # The examples in README.md.
+    "generate --kind vfe -M 3 -q 101":
+        "c0ae6ba67b026dee20b50e4e4ca090ceef13a94e4787e8bbb3bc8f0b1062b07b",
+    "generate --kind eicg -q 7 -a 1 -b 0 -n 7":
+        "84bd7dab03cfdefbf609232c159f882ad270eb2ea0231b8aa858355c0690b837",
+    "generate --kind lcg --preset randu -n 3":
+        "0e526bb08fbc6ae20476ea864213593de65e86141f4f3b82b89f2bc729060307",
+    "generate --kind compound --primes 5,7 -n 20":
+        "7c867867377d60baa354ad743629477ce6a033a1eaedfbbe426baa677770ab1f",
+    "generate --kind eicg -q 1009 --format f64le":
+        "bd19e3c9ef914c8b1c5c68f82a421a745e99c4e8a24c5e1e093c3eddceaec41f",
+    "stats serial --kind eicg -q 101 -k 2 --lags 0,1":
+        "c54b5676024d924f88dc99d1c35afbc274294c25ce1da25660cc741186987608",
+    "stats randu-planes -n 1000000":
+        "8f7dce7a27119c338e1845e58df3f9fb05d60372bc960aeed201cbc2aa161891",
+    "stats chi2 --kind vfe -M 3 -q 1009 --bins 20":
+        "38f51cd8503351844447d87892ebc46494afc19a08b713ccb16602ebc8b3db97",
+    "polygon -M 5 -q 3 -p 1":
+        "f3c05c3c34892ad3809fd0ea7bdf1dca0b84908709ae7044f32e3c841991f886",
+    # json, f64le and --start variants of every stream kind; vfe includes
+    # q = 2 mod 4, and the moduli reach the 2**31 bound.
+    "generate --kind eicg -q 101 -a 17 -b 5 --format json":
+        "098460a3918cb522c63c09316d038d01462035c94974c0cfd06d6b73df2619ab",
+    "generate --kind eicg -q 1009 -n 50 --start 500":
+        "2c0a72e8adebd867a7382b9cdc8488fe142bbac031c47b618db499b6a5bbc3f2",
+    "generate --kind eicg -q 2147483647 -a 65539 -b 3 -n 40 --start 1000000":
+        "116853179485c921809a0ea286a0fefcff3415e183340ec46b0014b552eb2acd",
+    "generate --kind eicg -q 2147483647 -n 40 --start 999 --format json":
+        "6be1d6bc6066056b430605f669cac5b63796097774f2637546b3d6c99a8cdcb3",
+    "generate --kind eicg-pow2 --omega 10":
+        "7ee378e9b7878a0b59f85e526af079bb9fe9ad8ae48cdf302dbc0af3b47e60f2",
+    "generate --kind eicg-pow2 --omega 31 -n 40 --start 12345 --format json":
+        "8a9725558277253d1e30891e90661d83b8b9ff78cc9ea1b49f92eb6cf45702e9",
+    "generate --kind eicg-pow2 --omega 31 -a 6 -b 7 -n 40":
+        "69fcb537815a683daa9c412f58add1a6f8b687156c47c14ab4fe280b92a5e645",
+    "generate --kind eicg-pow2 --omega 12 -a 6 -b 3 --format f64le":
+        "47a724ecad574bc29862c2bd3b0bb9f48f32cea741dadc6958ad8a18740da705",
+    "generate --kind eicg-pow2 -q 64 --format json":
+        "40e3883a4a6aae98c6a2c22c5e84d4dec1fcfe7b78a08f712d8647f881fc1f6d",
+    "generate --kind lcg -a 69069 -b 1 -q 65536 --x0 7 -n 40 --start 5":
+        "4a91f93d163129ae2c355e61788afb19264c3e924d33094cf7ee3ba08f9d5427",
+    "generate --kind lcg --preset randu -n 100 --format json":
+        "400321a028fa5eb1931e579d8ae18e8762c7198a985e0f668e62ee531164b660",
+    "generate --kind lcg --preset randu -n 1000 --format f64le":
+        "d829e0b4a9cc6c80b70376e7250b33b3844d23a3d68fccbb3fcadd5c24179751",
+    "generate --kind lcg -a 1103515245 -b 12345 -q 2147483648 --x0 -3 -n 40 --start 100":
+        "fe1976ea5bc2a818c42aac9a2be9fd1629d48068c3e0fa123c1157489e8641b4",
+    "generate --kind compound --primes 5,7 -n 20 --format json":
+        "28340aa499398cdd03a05b20c03051c389d077a80fdc55dbef34cfc5ccce3916",
+    "generate --kind compound --primes 11,13,17 -n 30 --start 100":
+        "daa62c0b33328f689576c0323736e23f7532b1d06bdc6546e218b42c593c0ec6",
+    "generate --kind compound --primes 5,7 -n 50 --format f64le":
+        "ee3b833615f4c5ac5c7b3592396ee8cbae55c98a0a32df8fd24ea44b43d4cc03",
+    "generate --kind compound --primes 997,991,983 -n 30 --start 5000 --format json":
+        "e92c2a2fd954ed3bac21f351310a12232876d17357250e87cb14cecc23b8994d",
+    "generate --kind vfe -M 3 -q 101 --format json":
+        "f0f1db564829bad41d3b886221b9568a0f9fdd016a4c7982be88feb58d319020",
+    "generate --kind vfe -M 4 -q 202":
+        "d489d28e44e77aadce1afc6bb887a951e96bcaf1e2a4fb05fd08a797aa3a34c1",
+    "generate --kind vfe -M 5 -q 128 --format f64le":
+        "9f4b3e67d72d75d8993a4cfac5c746e5e855af2db6478e436e4251f7537fe467",
+    "generate --kind vfe -M 3 -q 30 --format json":
+        "ffd3e221f44a48a63a67ec0acbf54c89888eda861c674d705cd9eb8ea9d9e8e6",
+    # Reports over every stream kind.
+    "stats serial --kind vfe -q 202 -k 2":
+        "0fca87e474372793c94cfa4b89173493df8d8221878f417a05d49bcfe74c9276",
+    "stats serial --kind eicg-pow2 --omega 9 -k 2":
+        "00db9998214c2c1c8bd156b324d393fb8c52c019f08d01002f151ab8a1ba6f56",
+    "stats serial --kind lcg --preset randu -n 101 -k 3":
+        "6515191a223bcd74a653b4f76f4a4337b349594e209d6bc58088424b5f872df6",
+    "stats serial --kind compound --primes 5,7 -n 48 --start 3 -k 2 --lags 0,5":
+        "db2f8d0130f3b1c36923c374d61b4497cecbf9779c7709526182162002cba56f",
+    "stats chi2 --kind eicg -q 1009 --bins 10":
+        "a80e5db11ce52a3e2cee6f4c6647d85ee4f5bbfbeda9023f71d396ee8835259e",
+    "stats chi2 --kind eicg-pow2 --omega 12 --bins 16":
+        "8c07134b5a23b8ba04ca4cceadf00526b9c11196464b90adeb67559441649b82",
+    "stats chi2 --kind lcg -a 69069 -b 1 -q 65536 -n 5000 --bins 50":
+        "ed81f0897bb546263a8a89bedef08fcde04c7390b52dd3c88b75e6a8d63ebfc7",
+    "stats chi2 --kind compound --primes 5,7 -n 200 --bins 7":
+        "803646c7a2b52744a0393a0d09e5f3d4c3a3dbb87735b801a125b3d0447d5828",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN))
+def test_cli_output_is_pinned(argv, tmp_path):
+    target = tmp_path / "out"
+    assert main([*argv.split(), "-o", str(target)]) == EXIT_OK
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == GOLDEN[argv]

@@ -4,22 +4,27 @@ from fractions import Fraction
 
 import pytest
 
-from filament_prng.errors import BadParameters, BadPrimes, CompositeModulus
+from filament_prng.errors import BadParameters, BadPrimes, CompositeModulus, RangeError
 from filament_prng.filament import corner_angle
 from filament_prng.modular import euler_totient, fermat_inverse
 from filament_prng.prng import (
+    Stream,
     StreamSpec,
-    UnitSample,
     compound_stream,
     eicg_pow2_stream,
     eicg_stream,
-    lcg_ints,
     lcg_stream,
     parallel_streams_distinct,
     randu_preset,
     vfe_stream,
     vfe_unit_samples,
 )
+
+
+def assert_concatenates(whole: Stream, head: Stream, tail: Stream) -> None:
+    assert whole.modulus == head.modulus == tail.modulus
+    assert whole.n.tolist() == head.n.tolist() + tail.n.tolist()
+    assert whole.x.tolist() == head.x.tolist() + tail.x.tolist()
 
 
 def test_spec_validation_errors():
@@ -39,57 +44,88 @@ def test_spec_validation_errors():
         StreamSpec.compound((5, 5))
     with pytest.raises(BadPrimes):
         StreamSpec.compound((5, 9))
+    with pytest.raises(BadParameters):
+        StreamSpec.lcg(a=3, b=1, q=0)
+
+
+def test_spec_modulus_bound():
+    # int64 states need every modulus within MAX_MODULUS = 2**31
+    assert StreamSpec.lcg(a=3, b=1, q=2**31).modulus == 2**31
+    assert StreamSpec.eicg_pow2(31).modulus == 2**31
+    assert StreamSpec.compound((5, 7, 11, 13, 17, 19, 23, 29)).modulus < 2**31
+    with pytest.raises(RangeError):
+        StreamSpec.eicg(4294967311)  # prime
+    with pytest.raises(RangeError):
+        StreamSpec.eicg_pow2(32)
+    with pytest.raises(RangeError):
+        StreamSpec.lcg(a=3, b=1, q=2**31 + 1)
+    with pytest.raises(RangeError):
+        StreamSpec.compound((5, 7, 11, 13, 17, 19, 23, 29, 31))
 
 
 def test_lcg_fixed_point():
     spec = StreamSpec.lcg(a=1, b=0, q=8, x0=5)
     samples = lcg_stream(spec, 6)
-    assert [s.u for s in samples] == [5 / 8] * 6
-    assert [s.n for s in samples] == list(range(6))
+    assert samples.u.tolist() == [5 / 8] * 6
+    assert samples.n.tolist() == list(range(6))
 
 
 def test_randu_first_terms():
     spec = randu_preset()
     assert (spec.a, spec.b, spec.q, spec.x0) == (65539, 0, 2**31, 1)
-    assert lcg_ints(spec, 3) == [1, 65539, 393225]
+    assert lcg_stream(spec, 3).x.tolist() == [1, 65539, 393225]
 
 
 def test_randu_recurrence_exact():
     q = 2**31
-    xs = lcg_ints(randu_preset(), 100_000)
+    xs = lcg_stream(randu_preset(), 100_000).x.tolist()
     for x0, x1, x2 in zip(xs, xs[1:], xs[2:]):
         assert (9 * x0 - 6 * x1 + x2) % q == 0
 
 
 def test_lcg_full_period():
     spec = StreamSpec.lcg(a=5, b=3, q=16, x0=0)
-    xs = lcg_ints(spec, 17)
+    xs = lcg_stream(spec, 17).x.tolist()
     assert sorted(xs[:16]) == list(range(16))
     assert xs[16] == xs[0]
 
 
 def test_lcg_restart_is_bit_identical():
     spec = StreamSpec.lcg(a=69069, b=1, q=2**16, x0=7)
-    whole = lcg_stream(spec, 40)
-    assert whole == lcg_stream(spec, 20) + lcg_stream(spec, 20, start=20)
+    assert_concatenates(
+        lcg_stream(spec, 40), lcg_stream(spec, 20), lcg_stream(spec, 20, start=20)
+    )
+
+
+def test_stream_record_protocol():
+    q = 2**31 - 1
+    stream = eicg_stream(StreamSpec.eicg(q, a=65539, b=3), 8, start=10**6)
+    assert len(stream) == 8 and stream
+    assert not compound_stream(3, (5, 7), 0)
+    last = stream[-1]
+    assert (last.n, last.x, last.modulus) == (stream.n[-1], stream.x[-1], q)
+    assert len(stream[2:5]) == 3
+    for n, x, u in zip(stream.n.tolist(), stream.x.tolist(), stream.u.tolist()):
+        assert x == pow(65539 * n + 3, -1, q)
+        assert u == x / q  # the correctly rounded double of the exact fraction
 
 
 def test_eicg_inverse_table_q5():
     samples = eicg_stream(StreamSpec.eicg(5, a=1, b=0), 5)
-    assert [round(s.u * 5) for s in samples] == [0, 1, 3, 2, 4]
+    assert samples.x.tolist() == [0, 1, 3, 2, 4]
 
 
 def test_eicg_full_period_is_permutation():
     for q, a, b in [(7, 1, 0), (101, 4, 0), (101, 17, 5), (499, 3, 11)]:
         samples = eicg_stream(StreamSpec.eicg(q, a, b), q)
-        assert {round(s.u * q) for s in samples} == set(range(q))
+        assert set(samples.x.tolist()) == set(range(q))
 
 
 def test_eicg_matches_fermat_inverse():
     q, a, b = 13, 4, 0
     samples = eicg_stream(StreamSpec.eicg(q, a, b), q)
-    for s in samples:
-        assert round(s.u * q) == fermat_inverse(a * s.n + b, q).value
+    for n, x in zip(samples.n.tolist(), samples.x.tolist()):
+        assert x == fermat_inverse(a * n + b, q).value
 
 
 def test_eicg_a4_matches_phi_map():
@@ -99,28 +135,28 @@ def test_eicg_a4_matches_phi_map():
     q = 5
     samples = eicg_stream(StreamSpec.eicg(q, a=4, b=0), q)
     for p in range(1, q):
-        assert round(samples[p].u * q) == phi_p(p, q).phi
+        assert samples.x[p] == phi_p(p, q).phi
 
 
 def test_eicg_restart():
     spec = StreamSpec.eicg(101, 7, 3)
-    assert eicg_stream(spec, 101) == eicg_stream(spec, 50) + eicg_stream(
-        spec, 51, start=50
+    assert_concatenates(
+        eicg_stream(spec, 101), eicg_stream(spec, 50), eicg_stream(spec, 51, start=50)
     )
 
 
 def test_eicg_pow2_examples():
     spec = StreamSpec.eicg_pow2(5, a=2, b=1)
     samples = eicg_pow2_stream(spec, 16)
-    assert round(samples[0].u * 32) == 1
-    assert round(samples[1].u * 32) == 11  # 3 * 11 = 33 = 1 mod 32
+    assert samples.x[0] == 1
+    assert samples.x[1] == 11  # 3 * 11 = 33 = 1 mod 32
 
 
 def test_eicg_pow2_visits_odd_residues():
     for omega in range(5, 11):
         spec = StreamSpec.eicg_pow2(omega, a=2, b=1)
         period = 1 << (omega - 1)
-        xs = {round(s.u * spec.q) for s in eicg_pow2_stream(spec, period)}
+        xs = set(eicg_pow2_stream(spec, period).x.tolist())
         assert xs == set(range(1, spec.q, 2))
 
 
@@ -163,48 +199,48 @@ def test_vfe_phases_match_eicg_for_prime_q():
     phases = vfe_unit_samples(q)
     eicg = eicg_stream(StreamSpec.eicg(q, a=4, b=0), q)
     assert len(phases) == q - 1
-    for sample in phases:
-        assert sample.u == eicg[sample.n].u
+    for n, u in zip(phases.n.tolist(), phases.u.tolist()):
+        assert u == eicg.u[n]
     # the full eicg period is the phase sequence with the 0 sample prepended
-    assert [s.u for s in eicg] == [0.0] + [s.u for s in phases]
+    assert eicg.u.tolist() == [0.0] + phases.u.tolist()
 
 
 def test_compound_example_five_seven():
     samples = compound_stream(3, (5, 7), 3)
-    assert samples[0] == UnitSample(u=float(Fraction(3, 35)), n=1)
-    assert [s.n for s in samples] == [1, 2, 3]
+    assert (samples.n[0], samples.u[0]) == (1, float(Fraction(3, 35)))
+    assert samples.n.tolist() == [1, 2, 3]
 
 
 def test_compound_single_prime_reduces():
     samples = compound_stream(3, (5,), 4)
-    assert [s.u for s in samples] == [4 / 5, 2 / 5, 3 / 5, 1 / 5]
+    assert samples.u.tolist() == [4 / 5, 2 / 5, 3 / 5, 1 / 5]
 
 
 def test_compound_skips_inadmissible_indices():
     samples = compound_stream(3, (5, 7), 30)
-    for s in samples:
-        assert s.n % 5 != 0 and s.n % 7 != 0
-    assert [s.n for s in samples[:6]] == [1, 2, 3, 4, 6, 8]
+    for n in samples.n.tolist():
+        assert n % 5 != 0 and n % 7 != 0
+    assert samples.n[:6].tolist() == [1, 2, 3, 4, 6, 8]
 
 
 def test_compound_restart():
-    whole = compound_stream(3, (5, 7), 20)
-    assert whole == compound_stream(3, (5, 7), 8) + compound_stream(
-        3, (5, 7), 12, start=8
+    assert_concatenates(
+        compound_stream(3, (5, 7), 20),
+        compound_stream(3, (5, 7), 8),
+        compound_stream(3, (5, 7), 12, start=8),
     )
 
 
 def test_compound_identity_holds():
     for primes in [(5, 7), (11, 13, 17)]:
-        for sample in compound_stream(3, primes, 50):
+        samples = compound_stream(3, primes, 50)
+        for n, u in zip(samples.n.tolist(), samples.u.tolist()):
             lhs = 1 + 0j
             for qj in primes:
                 angle = corner_angle(3, qj)
-                z = next(pt.value for pt in vfe_stream(3, qj) if pt.p == sample.n % qj)
+                z = next(pt.value for pt in vfe_stream(3, qj) if pt.p == n % qj)
                 lhs *= (angle.cos_rho**2 + 1j * z) / angle.sin_rho**2
-            assert lhs == pytest.approx(
-                cmath.exp(2j * math.pi * sample.u), abs=1e-9
-            )
+            assert lhs == pytest.approx(cmath.exp(2j * math.pi * u), abs=1e-9)
 
 
 def test_parallel_family_distinctness():

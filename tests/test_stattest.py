@@ -137,7 +137,7 @@ def test_star_too_large():
 def test_serial_test_eicg_within_bound():
     q = 101
     samples = eicg_stream(StreamSpec.eicg(q, a=4, b=0), q)
-    report = serial_test(samples, 2, (0, 1))
+    report = serial_test(samples.u, 2, (0, 1))
     assert report.n == q and report.k == 2
     assert report.extreme_lower == report.star
     assert report.extreme_upper == pytest.approx(4 * report.star)
@@ -232,7 +232,7 @@ def test_chi2_rejects_empty():
 
 def test_chi2_eicg_passes():
     samples = eicg_stream(StreamSpec.eicg(1009, a=4, b=0), 1009)
-    stat, _ = chi_square_uniformity(samples, 20)
+    stat, _ = chi_square_uniformity(samples.u, 20)
     assert stat < chi2_quantile_999(19)
 
 
@@ -248,8 +248,8 @@ def test_vfe_discrepancy_transfers_from_eicg():
     # same underlying integers, so identical serial behaviour once the
     # leading zero sample is prepended
     q = 211
-    phases = [s.u for s in vfe_unit_samples(q)]
-    eicg = [s.u for s in eicg_stream(StreamSpec.eicg(q, a=4, b=0), q)]
+    phases = vfe_unit_samples(q).u.tolist()
+    eicg = eicg_stream(StreamSpec.eicg(q, a=4, b=0), q).u.tolist()
     assert eicg == [0.0] + phases
     star_eicg = star_discrepancy(make_tuples(eicg, 2, (0, 1)))
     star_vfe = star_discrepancy(make_tuples([0.0] + phases, 2, (0, 1)))
@@ -259,7 +259,7 @@ def test_vfe_discrepancy_transfers_from_eicg():
 def test_report_json_round_trip():
     q = 101
     samples = eicg_stream(StreamSpec.eicg(q, a=4, b=0), q)
-    report = serial_test(samples, 2, (0, 1))
+    report = serial_test(samples.u, 2, (0, 1))
     payload = json.loads(json.dumps(report.as_dict()))
     assert set(payload) == {
         "n",

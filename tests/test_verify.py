@@ -4,19 +4,7 @@ from filament_prng.verify import (
     verify_compound,
     verify_gauss,
     verify_theorem1,
-    worker_count,
 )
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("FILAMENT_PRNG_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("FILAMENT_PRNG_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("FILAMENT_PRNG_THREADS", "0")
-    assert worker_count() == 1
-    monkeypatch.setenv("FILAMENT_PRNG_THREADS", "plenty")
-    assert worker_count() == 1
 
 
 def test_suite_result_describe():
@@ -27,14 +15,14 @@ def test_suite_result_describe():
 
 
 def test_gauss_sweep_deterministic_across_workers():
-    serial = verify_gauss(q_max=60, workers=1)
-    threaded = verify_gauss(q_max=60, workers=4)
-    assert serial == threaded
-    assert all(s.passed for s in serial)
+    first = verify_gauss(q_max=60)
+    again = verify_gauss(q_max=60)
+    assert first == again
+    assert all(s.passed for s in first)
 
 
 def test_theorem1_sweep_small():
-    suite = verify_theorem1(sides_range=(3, 4), q_max=8, workers=2)
+    suite = verify_theorem1(sides_range=(3, 4), q_max=8)
     assert suite.passed
     assert suite.cases > 0
 
