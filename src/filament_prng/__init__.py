@@ -10,13 +10,13 @@ statistically tested pseudorandom streams.
 
 from .errors import DomainError
 from .filament import (
-    CirclePoint,
     CornerAngle,
     CornerRotation,
     FrameMatrix,
     PolygonConfig,
     RationalTime,
     build_polygon,
+    circle_row,
     closure_residual,
     corner_angle,
     corner_products,
@@ -60,7 +60,6 @@ from .prng import (
     lcg_stream,
     parallel_streams_distinct,
     randu_preset,
-    vfe_stream,
     vfe_unit_samples,
 )
 from .stattest import (

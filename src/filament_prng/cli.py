@@ -13,8 +13,10 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import BadParameters, DomainError
-from .filament import PolygonConfig, RationalTime, build_polygon
+import numpy as np
+
+from .errors import BadParameters, DomainError, InvariantViolation
+from .filament import PolygonConfig, RationalTime, build_polygon, circle_row, corner_angle
 from .prng import (
     Stream,
     StreamSpec,
@@ -23,19 +25,9 @@ from .prng import (
     eicg_stream,
     lcg_stream,
     randu_preset,
-    vfe_stream,
     vfe_unit_samples,
 )
-from .serialize import (
-    circle_points_csv,
-    circle_points_json,
-    f64le_bytes,
-    polygon_csv,
-    polygon_json,
-    report_json,
-    unit_samples_csv,
-    unit_samples_json,
-)
+from .serialize import f64le_bytes, report_json, table_csv, table_json
 from .stattest import chi2_quantile_999, chi_square_uniformity, randu_plane_count, serial_test
 from .verify import verify_closure, verify_compound, verify_gauss, verify_theorem1
 
@@ -235,8 +227,11 @@ def _unit_stream(cfg: RunConfig) -> Stream:
         return eicg_stream(spec, count, cfg.start)
     if cfg.kind == "eicg-pow2":
         omega = cfg.omega
-        if omega is None and cfg.q:
-            omega = cfg.q.bit_length() - 1
+        if cfg.q is not None:
+            q_omega = cfg.q.bit_length() - 1
+            if cfg.q != 1 << max(q_omega, 0) or omega not in (None, q_omega):
+                raise BadParameters(f"eicg-pow2 needs -q = 2**omega, got -q {cfg.q}")
+            omega = q_omega
         spec = StreamSpec.eicg_pow2(
             _require(omega, "--omega"),
             a=cfg.a if cfg.a is not None else 2,
@@ -267,24 +262,22 @@ def _unit_stream(cfg: RunConfig) -> Stream:
 
 def cmd_generate(cfg: RunConfig) -> int:
     if cfg.kind == "vfe":
-        points = vfe_stream(cfg.sides, _require(cfg.q, "-q"))
-        if cfg.format == "csv":
-            payload: str | bytes = circle_points_csv(points)
-        elif cfg.format == "json":
-            payload = circle_points_json(points)
-        else:
-            payload = f64le_bytes([c for pt in points for c in (pt.re, pt.im)])
-        _emit(payload, cfg.output_path)
-        return EXIT_OK
-    stream = _unit_stream(cfg)
-    # Compound states live in the product ring; its rows carry u only.
-    x_column = cfg.kind != "compound"
-    if cfg.format == "csv":
-        payload = unit_samples_csv(stream, x_column)
-    elif cfg.format == "json":
-        payload = unit_samples_json(stream, x_column)
+        phases = vfe_unit_samples(_require(cfg.q, "-q"))
+        points = circle_row(corner_angle(cfg.sides, cfg.q), phases.u)
+        columns = {"p": phases.n, "re": points.real, "im": points.imag}
+        floats = points.view(np.float64)  # re and im interleaved
     else:
-        payload = f64le_bytes(stream.u)
+        stream = _unit_stream(cfg)
+        columns = {"n": stream.n, "x": stream.x, "u": stream.u}
+        if cfg.kind == "compound":
+            del columns["x"]  # compound states live in the product ring
+        floats = stream.u
+    if cfg.format == "csv":
+        payload: str | bytes = table_csv(columns)
+    elif cfg.format == "json":
+        payload = table_json(columns)
+    else:
+        payload = f64le_bytes(floats)
     _emit(payload, cfg.output_path)
     return EXIT_OK
 
@@ -346,7 +339,9 @@ def cmd_stats(cfg: RunConfig) -> int:
 def cmd_polygon(cfg: RunConfig) -> int:
     config = PolygonConfig(cfg.sides, RationalTime(cfg.p, _require(cfg.q, "-q")))
     vertices = build_polygon(config)
-    payload = polygon_csv(vertices) if cfg.format == "csv" else polygon_json(vertices)
+    columns = {"index": np.arange(len(vertices)), "x": vertices[:, 0],
+               "y": vertices[:, 1], "z": vertices[:, 2]}
+    payload = table_csv(columns) if cfg.format == "csv" else table_json(columns)
     _emit(payload, cfg.output_path)
     return EXIT_OK
 
@@ -371,6 +366,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except InvariantViolation as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-Everything derives from ValueError so callers that only care about
-"bad input" can catch a single class.
+Contract violations derive from ValueError through DomainError, so callers
+that only care about "bad input" can catch a single class.  A relation
+that holds by theorem but fails at run time is an InvariantViolation.
 """
 
 
@@ -38,6 +39,10 @@ class DegeneratePolygon(DomainError):
 
 
 class IndexOutOfRange(DomainError, IndexError):
+    pass
+
+
+class InvariantViolation(ArithmeticError):
     pass
 
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegeneratePolygon, IndexOutOfRange, NotCoprime
+from .errors import DegeneratePolygon, IndexOutOfRange, NotCoprime, RangeError
 from .gauss import TWO_PI, theta_sequence
 from .modular import phi_p
 
@@ -30,9 +30,9 @@ class RationalTime:
 
     def __post_init__(self):
         if self.q < 1:
-            raise ValueError(f"denominator must be positive, got {self.q}")
+            raise RangeError(f"denominator must be positive, got {self.q}")
         if self.p < 0:
-            raise ValueError(f"numerator must be nonnegative, got {self.p}")
+            raise RangeError(f"numerator must be nonnegative, got {self.p}")
         if math.gcd(self.p, self.q) != 1:
             raise NotCoprime(f"{self.p}/{self.q} is not a reduced fraction")
 
@@ -97,26 +97,13 @@ class FrameMatrix:
         return self.matrix[2]
 
 
-@dataclass(frozen=True, slots=True)
-class CirclePoint:
-    """Point on the circle of center i cos^2(rho) and radius sin^2(rho)."""
-
-    re: float
-    im: float
-    p: int
-
-    @property
-    def value(self) -> complex:
-        return complex(self.re, self.im)
-
-
 def corner_angle(sides: int, q: int) -> CornerAngle:
     """Turning angle rho with cos(rho) = 2 cos^(2/q)(pi/M) - 1 for odd q,
     2 cos^(4/q)(pi/M) - 1 for even q."""
     if sides < 3:
         raise DegeneratePolygon(f"need at least 3 sides, got {sides}")
     if q < 1:
-        raise ValueError(f"q must be positive, got {q}")
+        raise RangeError(f"q must be positive, got {q}")
     exponent = (2.0 if q % 2 else 4.0) / q
     c = 2.0 * math.cos(math.pi / sides) ** exponent - 1.0
     c = min(c, 1.0)  # float guard; the formula never leaves (-1, 1]
@@ -288,22 +275,31 @@ def corner_products(
     return triples, scalars
 
 
-def circle_point(angle: CornerAngle, u: float, p: int) -> CirclePoint:
-    """The point i c^2 - i s^2 exp(2 pi i u) of the circle of center i c^2
-    and radius s^2, labelled with its index p."""
-    alpha = TWO_PI * u
+def circle_row(angle: CornerAngle, u: np.ndarray | float) -> np.ndarray:
+    """The points i c^2 - i s^2 exp(2 pi i u) of the circle of center i c^2
+    and radius s^2, one per phase u (a scalar gives a 0-d array)."""
+    alpha = TWO_PI * np.asarray(u, dtype=float)
     c2, s2 = angle.cos_rho**2, angle.sin_rho**2
-    return CirclePoint(re=s2 * math.sin(alpha), im=c2 - s2 * math.cos(alpha), p=p)
+    out = np.empty(alpha.shape, dtype=complex)
+    out.real = s2 * np.sin(alpha)
+    out.imag = c2 - s2 * np.cos(alpha)
+    return out
 
 
-def z_qm_closed(sides: int, q: int, p: int, m: int) -> CirclePoint:
-    """Closed form of triple + i * scalar at quantity index m:
-    i c^2 - i s^2 exp(2 pi i phi (2m+1) / q), or with exponent
-    phi m / (q/2) when q = 2 mod 4."""
+def z_qm_closed(sides: int, q: int, p: int, m: int | np.ndarray) -> complex | np.ndarray:
+    """Closed form of triple + i * scalar at quantity index m (an int or an
+    int64 index array): i c^2 - i s^2 exp(2 pi i phi (2m+1) / q), or with
+    exponent phi m / (q/2) when q = 2 mod 4.
+
+    The index is reduced modulo the denominator before it meets phi, so
+    every int64 product stays below 2**62.
+    """
     res = phi_p(p, q)
-    angle = corner_angle(sides, q)
+    m = np.asarray(m, dtype=np.int64)
     if q % 4 == 2:
-        num, den = res.phi * m, res.effective_modulus
+        den = res.effective_modulus
+        k = m % den
     else:
-        num, den = res.phi * (2 * m + 1), q
-    return circle_point(angle, (num % den) / den, p)
+        den = q
+        k = (2 * (m % q) + 1) % q
+    return circle_row(corner_angle(sides, q), res.phi * k % den / den)[()]

@@ -11,7 +11,6 @@ bit-identically.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -19,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadParameters, BadPrimes, CompositeModulus, RangeError
-from .filament import CirclePoint, circle_point, corner_angle, z_qm_closed
+from .errors import BadParameters, BadPrimes, CompositeModulus, InvariantViolation, RangeError
+from .filament import circle_row, corner_angle
 from .modular import MAX_MODULUS, coprime_residues, is_probable_prime, mod_inverse, phi_p
 
 
@@ -122,6 +121,14 @@ class StreamSpec:
 
     @classmethod
     def eicg_pow2(cls, omega: int, a: int = 2, b: int = 1) -> "StreamSpec":
+        # Checked before shifting: a negative omega cannot shift and a huge
+        # one would build a huge int before the modulus bound is checked.
+        if omega < 5:
+            raise BadParameters(f"need omega >= 5, got omega={omega}")
+        if omega >= MAX_MODULUS.bit_length():
+            raise RangeError(
+                f"eicg-pow2 modulus 2**{omega} exceeds supported bound 2**31"
+            )
         return cls(kind=StreamKind.EICG_POW2, q=1 << omega, a=a, b=b)
 
     @classmethod
@@ -200,29 +207,23 @@ def vfe_unit_samples(q: int) -> Stream:
     return _stream(residues, [res.phi for res in phis], modulus)
 
 
-def vfe_stream(sides: int, q: int) -> list[CirclePoint]:
-    """One circle point per residue p coprime to q, ascending p.
+def compound_identity_residual(
+    sides: int, primes: Sequence[int], ps: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """|prod_j (c_j^2 + i z_j(p)) / s_j^2 - exp(2 pi i u)|, one residual per
+    index p with its combined phase u.
 
-    Emits exactly phi(q) pairwise-distinct points on the circle of center
-    i cos^2(rho) and radius sin^2(rho); p = 0 is excluded (q = 1 gives an
-    empty stream).  `sides` only sets the circle geometry through rho.
+    z_j(p) is the circle point of phase phi_j(p) / q_j, the quantity index 0
+    of the closed form at time p / q_j.
     """
-    angle = corner_angle(sides, q)
-    phases = vfe_unit_samples(q)
-    return [
-        circle_point(angle, u, p)
-        for p, u in zip(phases.n.tolist(), phases.u.tolist())
-    ]
-
-
-def compound_identity_residual(sides: int, primes: Sequence[int], p: int, u: float) -> float:
-    """|prod_j (c_j^2 + i z_j(p)) / s_j^2 - exp(2 pi i u)| for one index."""
-    lhs = 1 + 0j
+    ps = np.asarray(ps, dtype=np.int64).tolist()
+    lhs = np.ones(len(ps), dtype=complex)
     for qj in primes:
         angle = corner_angle(sides, qj)
-        z = z_qm_closed(sides, qj, p, 0).value
+        phases = np.array([phi_p(p, qj).phi for p in ps], dtype=np.int64)
+        z = circle_row(angle, phases / qj)
         lhs *= (angle.cos_rho**2 + 1j * z) / angle.sin_rho**2
-    return abs(lhs - cmath.exp(2j * math.pi * u))
+    return np.abs(lhs - np.exp(2j * math.pi * np.asarray(u, dtype=float)))
 
 
 def compound_stream(sides: int, primes: Sequence[int], count: int, start: int = 0) -> Stream:
@@ -248,14 +249,18 @@ def compound_stream(sides: int, primes: Sequence[int], count: int, start: int = 
         if to_skip:
             to_skip -= 1
             continue
-        x = sum(mod_inverse(4 * p, qj).value * w for qj, w in zip(qs, weights)) % modulus
-        if compound_identity_residual(sides, qs, p, x / modulus) > 1e-9:
-            raise ArithmeticError(
-                f"circle-product identity violated at p={p} for primes {qs}"
-            )
         ns.append(p)
-        xs.append(x)
-    return _stream(ns, xs, modulus)
+        xs.append(
+            sum(mod_inverse(4 * p, qj).value * w for qj, w in zip(qs, weights)) % modulus
+        )
+    stream = _stream(ns, xs, modulus)
+    residual = compound_identity_residual(sides, qs, stream.n, stream.u)
+    failing = np.flatnonzero(~(residual <= 1e-9))  # a NaN residual fails too
+    if failing.size:
+        raise InvariantViolation(
+            f"circle-product identity violated at p={stream.n[failing[0]]} for primes {qs}"
+        )
+    return stream
 
 
 def parallel_streams_distinct(q: int, params: Sequence[tuple[int, int]]) -> bool:

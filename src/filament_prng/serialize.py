@@ -9,69 +9,46 @@ for feeding external test batteries.
 from __future__ import annotations
 
 import json
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .filament import CirclePoint
-from .prng import Stream
+FLOAT_FORMAT = ".17g"
 
 
 def format_float(x: float) -> str:
-    return format(float(x), ".17g")
+    return format(float(x), FLOAT_FORMAT)
 
 
-def unit_samples_csv(stream: Stream, x_column: bool = True) -> str:
-    """Rows (n, x, u), or (n, u) without the integer state column."""
-    n, x, u = stream.n.tolist(), stream.x.tolist(), stream.u.tolist()
-    if x_column:
-        lines = ["n,x,u"] + [f"{a},{b},{format_float(c)}" for a, b, c in zip(n, x, u)]
-    else:
-        lines = ["n,u"] + [f"{a},{format_float(c)}" for a, c in zip(n, u)]
+def _rows(columns: Mapping[str, np.ndarray]):
+    """The cells of each row, as Python ints and floats."""
+    return zip(*(column.tolist() for column in columns.values()))
+
+
+def table_csv(columns: Mapping[str, np.ndarray]) -> str:
+    """A header of the column names, then one row per index: integer
+    columns as integers, float columns with 17 significant digits."""
+    row = ",".join(
+        "{}" if np.issubdtype(column.dtype, np.integer) else "{:" + FLOAT_FORMAT + "}"
+        for column in columns.values()
+    )
+    lines = [",".join(columns)] + [row.format(*cells) for cells in _rows(columns)]
     return "\n".join(lines) + "\n"
 
 
-def unit_samples_json(stream: Stream, x_column: bool = True) -> str:
-    n, x, u = stream.n.tolist(), stream.x.tolist(), stream.u.tolist()
-    if x_column:
-        rows = [{"n": a, "x": b, "u": c} for a, b, c in zip(n, x, u)]
-    else:
-        rows = [{"n": a, "u": c} for a, c in zip(n, u)]
-    return json.dumps(rows, indent=2) + "\n"
+def table_json(columns: Mapping[str, np.ndarray]) -> str:
+    """The rows as a list of objects, laid out as json.dumps(rows, indent=2).
 
-
-def circle_points_csv(points: Sequence[CirclePoint]) -> str:
-    lines = ["p,re,im"]
-    lines += [
-        f"{pt.p},{format_float(pt.re)},{format_float(pt.im)}" for pt in points
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def circle_points_json(points: Sequence[CirclePoint]) -> str:
-    rows = [{"p": pt.p, "re": pt.re, "im": pt.im} for pt in points]
-    return json.dumps(rows, indent=2) + "\n"
+    Cells are ints and finite floats, whose repr is what json.dumps writes.
+    """
+    fields = ",\n".join(f"    {json.dumps(name)}: {{!r}}" for name in columns)
+    row = "  {{\n" + fields + "\n  }}"
+    rows = [row.format(*cells) for cells in _rows(columns)]
+    return ("[\n" + ",\n".join(rows) + "\n]\n") if rows else "[]\n"
 
 
 def f64le_bytes(values: np.ndarray | Sequence[float]) -> bytes:
     return np.asarray(values).astype("<f8").tobytes()
-
-
-def polygon_csv(vertices: np.ndarray) -> str:
-    lines = ["index,x,y,z"]
-    for i, (x, y, z) in enumerate(vertices):
-        lines.append(
-            f"{i},{format_float(x)},{format_float(y)},{format_float(z)}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def polygon_json(vertices: np.ndarray) -> str:
-    rows = [
-        {"index": i, "x": float(x), "y": float(y), "z": float(z)}
-        for i, (x, y, z) in enumerate(vertices)
-    ]
-    return json.dumps(rows, indent=2) + "\n"
 
 
 def report_json(payload: dict) -> str:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadDimension, BadLags, BadParameters, BadT, EmptyInput, TooLarge
+from .errors import BadDimension, BadLags, BadParameters, BadT, EmptyInput, InvariantViolation, TooLarge
 from .modular import is_probable_prime
 from .prng import randu_preset
 
@@ -240,7 +240,7 @@ def randu_plane_labels(sample_count: int) -> set[int]:
         x2 = a * x1 % q
         combo = x2 - 6 * x1 + 9 * x0
         if combo % q:
-            raise ArithmeticError("RANDU three-term recurrence violated")
+            raise InvariantViolation("RANDU three-term recurrence violated")
         labels.add(combo // q)
         x0, x1 = x1, x2
     return labels

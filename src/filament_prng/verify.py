@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import BadParameters
 from .filament import PolygonConfig, RationalTime, closure_residual, corner_products, z_qm_closed
 from .gauss import active_indices, closed_0mod4_row, closed_2mod4_row, closed_odd_row, gauss_direct_row
 from .modular import coprime_residues
@@ -47,9 +48,21 @@ def _sweep_residues(q: int) -> list[int]:
     return coprime_residues(q) or [1]
 
 
-def _gauss_errors_for_q(q: int) -> tuple[float, float, int, int]:
-    """(magnitude error, closed-form error, magnitude cases, closed cases),
-    errors normalized by sqrt(q)."""
+def _suite(name: str, rows: Sequence[tuple[float, int]], tolerance: float) -> SuiteResult:
+    """Worst error and total cases over the (error, cases) rows of a sweep.
+
+    A sweep whose parameters give no case checks nothing, so it is refused
+    rather than reported as a pass.
+    """
+    cases = sum(count for _, count in rows)
+    if cases == 0:
+        raise BadParameters(f"{name} sweep has no cases for these parameters")
+    return SuiteResult(name, cases, max(err for err, _ in rows), tolerance)
+
+
+def _gauss_errors_for_q(q: int) -> tuple[tuple[float, int], tuple[float, int]]:
+    """(magnitude error, cases) and (closed-form error, cases), errors
+    normalized by sqrt(q)."""
     scale = math.sqrt(q)
     m = np.arange(q)
     if q % 2:
@@ -75,18 +88,16 @@ def _gauss_errors_for_q(q: int) -> tuple[float, float, int, int]:
             closed_err, float(np.max(np.abs(closed - row[active]))) / scale
         )
         closed_cases += len(active)
-    return mag_err, closed_err, mag_cases, closed_cases
+    return (mag_err, mag_cases), (closed_err, closed_cases)
 
 
 def verify_gauss(q_max: int = 300) -> list[SuiteResult]:
     """Magnitude law and closed forms against literal summation, for every
     coprime (p, q) with q <= q_max and every index m."""
     rows = [_gauss_errors_for_q(q) for q in range(1, q_max + 1)]
-    mag_err = max(r[0] for r in rows)
-    closed_err = max(r[1] for r in rows)
     return [
-        SuiteResult("gauss-magnitude", sum(r[2] for r in rows), mag_err, 1e-9),
-        SuiteResult("gauss-closed", sum(r[3] for r in rows), closed_err, 1e-9),
+        _suite("gauss-magnitude", [r[0] for r in rows], 1e-9),
+        _suite("gauss-closed", [r[1] for r in rows], 1e-9),
     ]
 
 
@@ -96,10 +107,9 @@ def _theorem1_error_for_q(sides: int, q: int) -> tuple[float, int]:
     for p in _sweep_residues(q):
         config = PolygonConfig(sides, RationalTime(p, q))
         triples, scalars = corner_products(config)
-        for m in range(config.corner_count):
-            closed = z_qm_closed(sides, q, p, m)
-            err = math.hypot(triples[m] - closed.re, scalars[m] - closed.im)
-            worst = max(worst, err)
+        closed = z_qm_closed(sides, q, p, np.arange(config.corner_count))
+        err = np.hypot(triples - closed.real, scalars - closed.imag)
+        worst = max(worst, float(np.max(err)))
         cases += config.corner_count
     return worst, cases
 
@@ -114,12 +124,7 @@ def verify_theorem1(
         for sides in range(sides_range[0], sides_range[1] + 1)
         for q in range(1, q_max + 1)
     ]
-    return SuiteResult(
-        "theorem1",
-        sum(r[1] for r in rows),
-        max(r[0] for r in rows),
-        1e-8,
-    )
+    return _suite("theorem1", rows, 1e-8)
 
 
 def _closure_error_for_q(sides: int, q: int) -> tuple[float, int]:
@@ -142,12 +147,7 @@ def verify_closure(
         for sides in range(sides_range[0], sides_range[1] + 1)
         for q in range(1, q_max + 1)
     ]
-    return SuiteResult(
-        "closure",
-        sum(r[1] for r in rows),
-        max(r[0] for r in rows),
-        1e-7,
-    )
+    return _suite("closure", rows, 1e-7)
 
 
 def verify_compound(
@@ -160,13 +160,11 @@ def verify_compound(
     compound_stream already raises if the identity drifts past 1e-9; this
     sweep records the worst residual explicitly.
     """
-    worst = 0.0
-    cases = 0
+    rows = []
     for primes in prime_sets:
         modulus = math.prod(primes)
         count = sum(1 for p in range(1, p_max + 1) if math.gcd(p, modulus) == 1)
         stream = compound_stream(sides, primes, count)
-        for p, u in zip(stream.n.tolist(), stream.u.tolist()):
-            worst = max(worst, compound_identity_residual(sides, tuple(primes), p, u))
-        cases += len(stream)
-    return SuiteResult("compound", cases, worst, 1e-9)
+        residual = compound_identity_residual(sides, tuple(primes), stream.n, stream.u)
+        rows.append((float(np.max(residual, initial=0.0)), len(stream)))
+    return _suite("compound", rows, 1e-9)

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from filament_prng.filament import corner_angle
+from filament_prng.filament import circle_row, corner_angle
 from filament_prng.modular import euler_totient
 from filament_prng.prng import (
     StreamSpec,
@@ -17,7 +17,7 @@ from filament_prng.prng import (
     eicg_stream,
     lcg_stream,
     randu_preset,
-    vfe_stream,
+    vfe_unit_samples,
 )
 from filament_prng.stattest import (
     TupleCloud,
@@ -84,10 +84,9 @@ def test_criterion_4_circle_law():
     worst_radius = 0.0
     min_gap = math.inf
     for q in (101, 128, 202, 1009):
-        points = vfe_stream(3, q)
-        assert len(points) == euler_totient(q), f"count mismatch at q={q}"
         angle = corner_angle(3, q)
-        values = np.array([pt.value for pt in points])
+        values = circle_row(angle, vfe_unit_samples(q).u)
+        assert len(values) == euler_totient(q), f"count mismatch at q={q}"
         radii = np.abs(values - 1j * angle.cos_rho**2)
         worst_radius = max(worst_radius, np.max(np.abs(radii - angle.sin_rho**2)))
         diffs = np.abs(values[:, None] - values[None, :])

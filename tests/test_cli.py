@@ -2,11 +2,13 @@ import json
 import math
 import struct
 
+import numpy as np
 import pytest
 
+from filament_prng import prng
 from filament_prng.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from filament_prng.prng import StreamSpec, eicg_stream
-from filament_prng.serialize import f64le_bytes, format_float, unit_samples_csv
+from filament_prng.serialize import f64le_bytes, format_float, table_csv, table_json
 from filament_prng.verify import SuiteResult
 
 
@@ -106,6 +108,18 @@ def test_bad_subcommand_usage_exit(capsys):
         "generate --kind eicg -q 101 --start -1",
         "stats randu-planes -n -5",
         "stats randu-planes -n 2",
+        "generate --kind vfe -q 0",
+        "polygon -q 0",
+        "polygon -q 3 -p -1",
+        "generate --kind eicg-pow2 --omega -1 -n 2",
+        "generate --kind eicg-pow2 -q 100 -n 2",
+        "generate --kind eicg-pow2 --omega 6 -q 100 -n 2",
+        # sweeps whose parameters leave no case to check
+        "verify gauss --qmax 0",
+        "verify theorem1 --qmax 0",
+        "verify closure -M 5..3",
+        "verify closure --qmax -5",
+        "verify compound --pmax 0",
     ],
 )
 def test_usage_errors_exit_2_without_traceback(capsys, argv):
@@ -114,6 +128,16 @@ def test_usage_errors_exit_2_without_traceback(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_invariant_failure_exits_3_without_traceback(capsys, monkeypatch):
+    monkeypatch.setattr(
+        prng, "compound_identity_residual", lambda sides, primes, ps, u: np.ones(len(ps))
+    )
+    code, out, err = run(capsys, "generate", "--kind", "compound", "--primes", "5,7", "-n", "3")
+    assert code == EXIT_VERIFY
+    assert out == ""
+    assert err == "error: circle-product identity violated at p=1 for primes (5, 7)\n"
 
 
 def test_polygon_triangle(capsys):
@@ -228,11 +252,18 @@ def test_format_float_round_trips():
 
 def test_unit_samples_csv_x_column_exact():
     samples = eicg_stream(StreamSpec.eicg(101, 4, 0), 101)
-    text = unit_samples_csv(samples)
+    text = table_csv({"n": samples.n, "x": samples.x, "u": samples.u})
     for line in text.strip().splitlines()[1:]:
         n, x, u = line.split(",")
         assert int(x) == round(float(u) * 101)
     assert text.endswith("\n")
+
+
+def test_table_json_is_json_dumps_layout():
+    columns = {"n": np.array([0, 7]), "x": np.array([3, -2]), "u": np.array([0.1, 1e-300])}
+    rows = [{"n": 0, "x": 3, "u": 0.1}, {"n": 7, "x": -2, "u": 1e-300}]
+    assert table_json(columns) == json.dumps(rows, indent=2) + "\n"
+    assert table_json({"p": np.array([], dtype=np.int64)}) == "[]\n"
 
 
 def test_f64le_bytes_layout():

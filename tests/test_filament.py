@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from filament_prng.filament import (
     PolygonConfig,
     RationalTime,
     build_polygon,
+    circle_row,
     closure_residual,
     corner_angle,
     corner_products,
@@ -182,8 +184,8 @@ def test_q2_degenerate_case():
 def test_products_match_closed_form_examples(sides, q, p, m):
     cfg = config(sides, p, q)
     closed = z_qm_closed(sides, q, p, m)
-    assert triple_product_geometric(cfg, m) == pytest.approx(closed.re, abs=1e-10)
-    assert scalar_product_geometric(cfg, m) == pytest.approx(closed.im, abs=1e-10)
+    assert triple_product_geometric(cfg, m) == pytest.approx(closed.real, abs=1e-10)
+    assert scalar_product_geometric(cfg, m) == pytest.approx(closed.imag, abs=1e-10)
 
 
 def test_products_match_closed_form_sweep():
@@ -195,7 +197,7 @@ def test_products_match_closed_form_sweep():
                 for m in range(cfg.corner_count):
                     closed = z_qm_closed(sides, q, p, m)
                     assert complex(triples[m], scalars[m]) == pytest.approx(
-                        closed.value, abs=1e-9
+                        closed, abs=1e-9
                     )
 
 
@@ -227,13 +229,13 @@ def test_z_qm_closed_trivial_time():
     for sides in (3, 5):
         rho = corner_angle(sides, 1).rho
         z = z_qm_closed(sides, 1, 0, 0)
-        assert z.value == pytest.approx(1j * math.cos(2 * rho), abs=1e-12)
+        assert z == pytest.approx(1j * math.cos(2 * rho), abs=1e-12)
 
 
 def test_z_qm_closed_example_real_part():
     angle = corner_angle(3, 3)
     z = z_qm_closed(3, 3, 1, 0)
-    assert z.re == pytest.approx(
+    assert z.real == pytest.approx(
         angle.sin_rho**2 * math.sqrt(3) / 2, abs=1e-12
     )
 
@@ -246,9 +248,33 @@ def test_z_qm_closed_circle_invariant():
             cfg = config(sides, p, q)
             for m in range(cfg.corner_count):
                 z = z_qm_closed(sides, q, p, m)
-                assert abs(z.value - center) == pytest.approx(
+                assert abs(z - center) == pytest.approx(
                     angle.sin_rho**2, abs=1e-9
                 )
+
+
+@pytest.mark.parametrize(
+    "sides,q,p",
+    # p = (-4)^-1 mod q makes phi = (4p)^-1 = q - 1, the largest phase.
+    [(3, 7, 3), (4, 10, 3), (5, 12, 5), (3, 2**31 - 1, pow(-4, -1, 2**31 - 1))],
+)
+def test_z_qm_closed_row_matches_exact_phase(sides, q, p):
+    # Indices reach 3q; at q = 2**31 - 1 an unreduced phi * (2m + 1) would
+    # overflow int64.
+    rng = np.random.default_rng(q)
+    m = np.concatenate([np.arange(3 * min(q, 40) + 1), [q - 1, q, 2 * q + 5, 3 * q],
+                        rng.integers(0, 3 * q + 1, 64)])
+    if q % 2:
+        phases = [Fraction(pow(4 * p, -1, q) * (2 * k + 1), q) % 1 for k in m.tolist()]
+    elif q % 4 == 2:
+        phases = [Fraction(pow(p, -1, q // 2) * k, q // 2) % 1 for k in m.tolist()]
+    else:
+        phases = [Fraction(pow(p, -1, q) * (2 * k + 1), q) % 1 for k in m.tolist()]
+    row = z_qm_closed(sides, q, p, m)
+    # Equal phases, correctly rounded, give bit-identical circle points.
+    expected = circle_row(corner_angle(sides, q), [float(u) for u in phases])
+    assert row.tolist() == expected.tolist()
+    assert [z_qm_closed(sides, q, p, k) for k in m[:5].tolist()] == row[:5].tolist()
 
 
 def test_z_qm_closed_rejects_noncoprime():

@@ -95,6 +95,19 @@ GOLDEN = {
         "ed81f0897bb546263a8a89bedef08fcde04c7390b52dd3c88b75e6a8d63ebfc7",
     "stats chi2 --kind compound --primes 5,7 -n 200 --bins 7":
         "803646c7a2b52744a0393a0d09e5f3d4c3a3dbb87735b801a125b3d0447d5828",
+    # Every table layout in both text formats, empty tables included.
+    "polygon -M 5 -q 3 -p 1 --format json":
+        "dde20002edc60cc9e654a6a80f79fca01c543942381dc82b2db0b81574c058df",
+    "polygon -M 4 -q 6 -p 5":
+        "1091851ee83242344df863d8db6690b4de3e9aa9808e16e8a3f3181500612d39",
+    "generate --kind vfe -M 3 -q 1":
+        "2aff7576e2421e14a591f8e655e6628da42fa613521fb095ae1ed97364c8e65c",
+    "generate --kind vfe -M 3 -q 1 --format json":
+        "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+    "generate --kind eicg -q 101 -n 0 --format json":
+        "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+    "generate --kind compound --primes 5,7 -n 0":
+        "ebb30c73d88b1264b1187f8ebff489a30aabfe25eda39f9773165dd1fabefef0",
 }
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from filament_prng.errors import BadParameters, BadPrimes, CompositeModulus, RangeError
-from filament_prng.filament import corner_angle
+from filament_prng.filament import circle_row, corner_angle
 from filament_prng.modular import euler_totient, fermat_inverse
 from filament_prng.prng import (
     Stream,
@@ -16,7 +16,6 @@ from filament_prng.prng import (
     lcg_stream,
     parallel_streams_distinct,
     randu_preset,
-    vfe_stream,
     vfe_unit_samples,
 )
 
@@ -34,6 +33,8 @@ def test_spec_validation_errors():
         StreamSpec.eicg(7, a=7)
     with pytest.raises(BadParameters):
         StreamSpec.eicg_pow2(4)  # omega too small
+    with pytest.raises(BadParameters):
+        StreamSpec.eicg_pow2(-1)  # refused before shifting by it
     with pytest.raises(BadParameters):
         StreamSpec.eicg_pow2(5, a=4)  # a must be 2 mod 4
     with pytest.raises(BadParameters):
@@ -57,6 +58,8 @@ def test_spec_modulus_bound():
         StreamSpec.eicg(4294967311)  # prime
     with pytest.raises(RangeError):
         StreamSpec.eicg_pow2(32)
+    with pytest.raises(RangeError):
+        StreamSpec.eicg_pow2(10**12)  # refused before 2**omega is built
     with pytest.raises(RangeError):
         StreamSpec.lcg(a=3, b=1, q=2**31 + 1)
     with pytest.raises(RangeError):
@@ -161,19 +164,18 @@ def test_eicg_pow2_visits_odd_residues():
 
 
 def test_vfe_counts():
-    assert vfe_stream(3, 1) == []
-    points = vfe_stream(3, 5)
-    assert len(points) == euler_totient(5) == 4
-    assert [pt.p for pt in points] == [1, 2, 3, 4]
+    assert len(circle_row(corner_angle(3, 1), vfe_unit_samples(1).u)) == 0
+    phases = vfe_unit_samples(5)
+    assert len(circle_row(corner_angle(3, 5), phases.u)) == euler_totient(5) == 4
+    assert phases.n.tolist() == [1, 2, 3, 4]
 
 
 def test_vfe_circle_invariant_and_distinct():
     for sides, q in [(3, 5), (3, 101), (4, 8), (5, 12), (3, 202)]:
         angle = corner_angle(sides, q)
         center = 1j * angle.cos_rho**2
-        points = vfe_stream(sides, q)
-        assert len(points) == euler_totient(q)
-        values = [pt.value for pt in points]
+        values = circle_row(angle, vfe_unit_samples(q).u).tolist()
+        assert len(values) == euler_totient(q)
         for z in values:
             assert abs(z - center) == pytest.approx(angle.sin_rho**2, abs=1e-9)
         for i, z in enumerate(values):
@@ -183,15 +185,16 @@ def test_vfe_circle_invariant_and_distinct():
 
 def test_vfe_pow2_phases():
     # q = 8: the inverse map fixes each odd residue, so u_p = p/8
-    points = vfe_stream(4, 8)
-    assert [pt.p for pt in points] == [1, 3, 5, 7]
+    phases = vfe_unit_samples(8)
+    assert phases.n.tolist() == [1, 3, 5, 7]
     angle = corner_angle(4, 8)
-    for pt in points:
+    points = circle_row(angle, phases.u)
+    for p, value in zip(phases.n.tolist(), points.tolist()):
         expected = (
             1j * angle.cos_rho**2
-            - 1j * angle.sin_rho**2 * cmath.exp(2j * math.pi * pt.p / 8)
+            - 1j * angle.sin_rho**2 * cmath.exp(2j * math.pi * p / 8)
         )
-        assert pt.value == pytest.approx(expected, abs=1e-12)
+        assert value == pytest.approx(expected, abs=1e-12)
 
 
 def test_vfe_phases_match_eicg_for_prime_q():
@@ -238,7 +241,9 @@ def test_compound_identity_holds():
             lhs = 1 + 0j
             for qj in primes:
                 angle = corner_angle(3, qj)
-                z = next(pt.value for pt in vfe_stream(3, qj) if pt.p == n % qj)
+                phases = vfe_unit_samples(qj)
+                points = circle_row(angle, phases.u).tolist()
+                z = points[phases.n.tolist().index(n % qj)]
                 lhs *= (angle.cos_rho**2 + 1j * z) / angle.sin_rho**2
             assert lhs == pytest.approx(cmath.exp(2j * math.pi * u), abs=1e-9)
 
