@@ -11,8 +11,6 @@ statistically tested pseudorandom streams.
 from .errors import DomainError
 from .filament import (
     CornerAngle,
-    CornerRotation,
-    FrameMatrix,
     PolygonConfig,
     RationalTime,
     build_polygon,
@@ -20,32 +18,18 @@ from .filament import (
     closure_residual,
     corner_angle,
     corner_products,
-    rotation_matrix,
-    scalar_product_geometric,
-    transport_frames,
-    triple_product_geometric,
+    rotation_stack,
     z_qm_closed,
 )
 from .gauss import (
-    GaussValue,
-    MagnitudeClass,
-    ThetaPhase,
-    gauss_closed_0mod4,
-    gauss_closed_2mod4,
-    gauss_closed_odd,
     gauss_direct,
     gauss_direct_row,
     gauss_magnitude,
     theta_sequence,
 )
 from .modular import (
-    FactoredModulus,
-    PhiResult,
-    Residue,
-    crt_combine,
     euler_totient,
     factor_pow2,
-    fermat_inverse,
     jacobi,
     mod_inverse,
     phi_p,
@@ -58,12 +42,10 @@ from .prng import (
     eicg_pow2_stream,
     eicg_stream,
     lcg_stream,
-    parallel_streams_distinct,
     randu_preset,
     vfe_unit_samples,
 )
 from .stattest import (
-    BoundReport,
     DiscrepancyReport,
     TupleCloud,
     chi_square_uniformity,

@@ -256,18 +256,18 @@ def _unit_stream(cfg: RunConfig) -> Stream:
         count = _require(cfg.count, "-n")
         return compound_stream(cfg.sides, cfg.primes, count, cfg.start)
     if cfg.kind == "vfe":
-        return vfe_unit_samples(_require(cfg.q, "-q"))
+        stop = None if cfg.count is None else cfg.start + cfg.count
+        return vfe_unit_samples(_require(cfg.q, "-q"))[cfg.start : stop]
     raise BadParameters(f"unknown stream kind {cfg.kind!r}")
 
 
 def cmd_generate(cfg: RunConfig) -> int:
+    stream = _unit_stream(cfg)
     if cfg.kind == "vfe":
-        phases = vfe_unit_samples(_require(cfg.q, "-q"))
-        points = circle_row(corner_angle(cfg.sides, cfg.q), phases.u)
-        columns = {"p": phases.n, "re": points.real, "im": points.imag}
+        points = circle_row(corner_angle(cfg.sides, cfg.q), stream.u)
+        columns = {"p": stream.n, "re": points.real, "im": points.imag}
         floats = points.view(np.float64)  # re and im interleaved
     else:
-        stream = _unit_stream(cfg)
         columns = {"n": stream.n, "x": stream.x, "u": stream.u}
         if cfg.kind == "compound":
             del columns["x"]  # compound states live in the product ring

@@ -38,10 +38,6 @@ class DegeneratePolygon(DomainError):
     pass
 
 
-class IndexOutOfRange(DomainError, IndexError):
-    pass
-
-
 class InvariantViolation(ArithmeticError):
     pass
 

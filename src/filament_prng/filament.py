@@ -2,10 +2,10 @@
 
 At a rational time p/q the tangent evolution of a regular M-gon under the
 binormal flow is a skew polygon: Mq corners for odd q, Mq/2 for even q.
-Each corner applies a fixed-angle rotation whose axis direction is set by a
-Gauss-sum phase; transporting an orthonormal frame corner to corner gives
-the triple and scalar products that the closed form `z_qm_closed` predicts
-from a single modular inverse.
+Each corner applies a fixed-angle rotation (`rotation_stack`) whose axis
+direction is set by a Gauss-sum phase; transporting an orthonormal frame
+corner to corner gives the triple and scalar products that the closed form
+`z_qm_closed` predicts from a single modular inverse.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegeneratePolygon, IndexOutOfRange, NotCoprime, RangeError
-from .gauss import TWO_PI, theta_sequence
+from .errors import DegeneratePolygon, NotCoprime, RangeError
+from .gauss import TWO_PI, active_indices, theta_sequence
 from .modular import phi_p
 
 
@@ -70,33 +70,6 @@ class CornerAngle:
     sin_rho: float
 
 
-@dataclass(frozen=True, eq=False)
-class CornerRotation:
-    """The 3x3 rotation applied to the stacked frame rows at one corner."""
-
-    theta: float
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class FrameMatrix:
-    """Orthonormal frame with rows (tangent, first normal, second normal)."""
-
-    matrix: np.ndarray
-
-    @property
-    def tangent(self) -> np.ndarray:
-        return self.matrix[0]
-
-    @property
-    def normal1(self) -> np.ndarray:
-        return self.matrix[1]
-
-    @property
-    def normal2(self) -> np.ndarray:
-        return self.matrix[2]
-
-
 def corner_angle(sides: int, q: int) -> CornerAngle:
     """Turning angle rho with cos(rho) = 2 cos^(2/q)(pi/M) - 1 for odd q,
     2 cos^(4/q)(pi/M) - 1 for even q."""
@@ -111,16 +84,6 @@ def corner_angle(sides: int, q: int) -> CornerAngle:
     return CornerAngle(rho=rho, cos_rho=c, sin_rho=math.sin(rho))
 
 
-def rotation_matrix(angle: CornerAngle, theta: float) -> CornerRotation:
-    """Corner rotation acting on the (tangent, normal, normal) rows.
-
-    Identity when rho = 0; for theta = 0 it reduces to an in-plane turn
-    [[c, s, 0], [-s, c, 0], [0, 0, 1]].
-    """
-    matrix = _rotation_stack(angle, np.array([theta]))[0]
-    return CornerRotation(theta=theta, matrix=matrix)
-
-
 def _active_thetas(config: PolygonConfig) -> np.ndarray:
     """Rotation phase at each corner over one full period.
 
@@ -129,19 +92,20 @@ def _active_thetas(config: PolygonConfig) -> np.ndarray:
     even when q = 0 mod 4).
     """
     q = config.time.q
-    phases = {tp.m: tp.theta for tp in theta_sequence(config.time.p, q)}
-    n = config.sides * q
-    if q % 2 == 1:
-        grid = range(n)
-    elif q % 4 == 2:
-        grid = range(1, n, 2)
-    else:
-        grid = range(0, n, 2)
-    return np.array([phases[j % q] for j in grid])
+    active = active_indices(q)
+    phases = np.zeros(q)
+    phases[active] = theta_sequence(config.time.p, q)
+    grid = np.arange(active.start, config.sides * q, active.step)
+    return phases[grid % q]
 
 
-def _rotation_stack(angle: CornerAngle, thetas: np.ndarray) -> np.ndarray:
-    """(K, 3, 3) stack of corner rotations for the given phases."""
+def rotation_stack(angle: CornerAngle, thetas: np.ndarray) -> np.ndarray:
+    """(K, 3, 3) stack of the corner rotations acting on the (tangent,
+    normal, normal) rows, one per phase.
+
+    Identity when rho = 0; for theta = 0 it reduces to an in-plane turn
+    [[c, s, 0], [-s, c, 0], [0, 0, 1]].
+    """
     c, s = angle.cos_rho, angle.sin_rho
     ct, st = np.cos(thetas), np.sin(thetas)
     out = np.empty((len(thetas), 3, 3))
@@ -159,24 +123,7 @@ def _rotation_stack(angle: CornerAngle, thetas: np.ndarray) -> np.ndarray:
 
 def _config_rotations(config: PolygonConfig) -> np.ndarray:
     angle = corner_angle(config.sides, config.time.q)
-    return _rotation_stack(angle, _active_thetas(config))
-
-
-def transport_frames(
-    config: PolygonConfig, initial: FrameMatrix | None = None
-) -> list[FrameMatrix]:
-    """Frames after each corner of one period, from the identity frame
-    (or `initial` when given).
-
-    No renormalization is applied; orthogonality drift over a period is a
-    measured quantity, not a hidden one.
-    """
-    frame = np.eye(3) if initial is None else np.array(initial.matrix, dtype=float)
-    out = []
-    for rot in _config_rotations(config):
-        frame = rot @ frame
-        out.append(FrameMatrix(matrix=frame))
-    return out
+    return rotation_stack(angle, _active_thetas(config))
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:
@@ -200,7 +147,7 @@ def build_polygon(config: PolygonConfig) -> np.ndarray:
     """Vertex positions (K, 3): cumulative sum of side_length * tangent from
     the origin.  Arc-length side spacing; the traversal closes whenever the
     rotation product does."""
-    tangents = np.array([f.matrix[0] for f in transport_frames(config)])
+    tangents = _tangent_rows(config)[1 : config.corner_count + 1]
     verts = np.zeros_like(tangents)
     verts[1:] = np.cumsum(config.side_length * tangents[:-1], axis=0)
     return verts
@@ -228,48 +175,27 @@ def _tangent_rows(config: PolygonConfig) -> np.ndarray:
     return rows
 
 
-def _pair_positions(config: PolygonConfig, m: int) -> tuple[int, int, int]:
-    """Row indices (before, between, after) for quantity index m.
-
-    Odd q and q = 0 mod 4 pair corner m with the next corner; q = 2 mod 4
-    pairs the corner before index m with the one at m, wrapping m = 0
-    around the period.
-    """
-    count = config.corner_count
-    if not 0 <= m < count:
-        raise IndexOutOfRange(f"index {m} outside active set of size {count}")
-    if config.time.q % 4 == 2:
-        return (count - 1, count, count + 1) if m == 0 else (m - 1, m, m + 1)
-    return m, m + 1, m + 2
-
-
-def triple_product_geometric(config: PolygonConfig, m: int) -> float:
-    """det of the stacked tangents before/between/after corner pair m,
-    computed from transported frames."""
-    rows = _tangent_rows(config)
-    i, j, k = _pair_positions(config, m)
-    return float(np.linalg.det(np.stack([rows[i], rows[j], rows[k]])))
-
-
-def scalar_product_geometric(config: PolygonConfig, m: int) -> float:
-    """Dot product of the tangents entering and leaving corner pair m."""
-    rows = _tangent_rows(config)
-    i, _, k = _pair_positions(config, m)
-    return float(rows[i] @ rows[k])
-
-
 def corner_products(
-    config: PolygonConfig, initial: FrameMatrix | None = None
+    config: PolygonConfig, initial: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """All triple and scalar products over the active index set in one
     transported pass.  `initial` replaces the identity starting frame (the
-    products are rotation-invariant, which tests exercise through it)."""
+    products are rotation-invariant, which tests exercise through it).
+
+    Index m reads the tangents before, between and after its corner pair:
+    rows (m, m + 1, m + 2), except for q = 2 mod 4, which pairs the corner
+    before m with the one at m and so starts at row m - 1, wrapping m = 0
+    around the period.
+    """
     if initial is None:
         rows = _tangent_rows(config)
     else:
-        rows = _tangent_rows_from(config, np.array(initial.matrix, dtype=float))
-    idx = np.array([_pair_positions(config, m) for m in range(config.corner_count)])
-    stacked = rows[idx]  # (K, 3, 3): rows before, between, after
+        rows = _tangent_rows_from(config, np.asarray(initial, dtype=float))
+    count = config.corner_count
+    first = np.arange(count)
+    if config.time.q % 4 == 2:
+        first = (first - 1) % count
+    stacked = rows[first[:, None] + np.arange(3)]  # (K, 3, 3)
     triples = np.linalg.det(stacked)
     scalars = np.einsum("ij,ij->i", stacked[:, 0, :], stacked[:, 2, :])
     return triples, scalars
@@ -294,12 +220,10 @@ def z_qm_closed(sides: int, q: int, p: int, m: int | np.ndarray) -> complex | np
     The index is reduced modulo the denominator before it meets phi, so
     every int64 product stays below 2**62.
     """
-    res = phi_p(p, q)
+    phi, den = phi_p(p, q)
     m = np.asarray(m, dtype=np.int64)
     if q % 4 == 2:
-        den = res.effective_modulus
         k = m % den
     else:
-        den = q
         k = (2 * (m % q) + 1) % q
-    return circle_row(corner_angle(sides, q), res.phi * k % den / den)[()]
+    return circle_row(corner_angle(sides, q), phi * k % den / den)[()]

@@ -3,16 +3,13 @@
 G(a, b, c) = sum_{l=0}^{c-1} exp(2 pi i (a l^2 + b l) / c) is evaluated two
 independent ways: literal summation (`gauss_direct`, `gauss_direct_row`) and
 the closed forms for the three parity classes of the modulus
-(`gauss_closed_odd`, `gauss_closed_2mod4`, `gauss_closed_0mod4`).  The
-closed forms never feed the direct route, so each can serve as the other's
-oracle.
+(`closed_odd_row`, `closed_2mod4_row`, `closed_0mod4_row`).  The closed
+forms never feed the direct route, so each can serve as the other's oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -25,48 +22,6 @@ TWO_PI = 2.0 * math.pi
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
-class MagnitudeClass(Enum):
-    """Branch of the magnitude law that |G(a, b, c)| falls under."""
-
-    ODD_Q_SQRT_Q = "sqrt(q)"
-    EVEN_Q_SQRT_2Q = "sqrt(2q)"
-    EVEN_Q_ZERO = "zero"
-
-
-@dataclass(frozen=True)
-class GaussValue:
-    """One Gauss sum with its magnitude-law tag (None when gcd(a, c) > 1)."""
-
-    re: float
-    im: float
-    magnitude_class: MagnitudeClass | None
-
-    @property
-    def value(self) -> complex:
-        return complex(self.re, self.im)
-
-    def __abs__(self) -> float:
-        return abs(self.value)
-
-
-@dataclass(frozen=True, slots=True)
-class ThetaPhase:
-    """Phase of a nonzero Gauss sum, normalized to [0, 2 pi)."""
-
-    theta: float
-    m: int
-
-
-def _classify(a: int, b: int, c: int) -> MagnitudeClass | None:
-    if math.gcd(a, c) != 1:
-        return None
-    if c % 2 == 1:
-        return MagnitudeClass.ODD_Q_SQRT_Q
-    if (c // 2 - b) % 2 == 0:
-        return MagnitudeClass.EVEN_Q_SQRT_2Q
-    return MagnitudeClass.EVEN_Q_ZERO
-
-
 def _check_summation_modulus(c: int) -> None:
     if c < 1:
         raise RangeError(f"modulus must be positive, got {c}")
@@ -74,7 +29,7 @@ def _check_summation_modulus(c: int) -> None:
         raise RangeError(f"modulus {c} exceeds supported bound 2**31")
 
 
-def gauss_direct(a: int, b: int, c: int) -> GaussValue:
+def gauss_direct(a: int, b: int, c: int) -> complex:
     """Literal evaluation of the c-term sum in double precision.
 
     The phase integers (a l^2 + b l) mod c are reduced exactly before any
@@ -84,8 +39,7 @@ def gauss_direct(a: int, b: int, c: int) -> GaussValue:
     _check_summation_modulus(c)
     l = np.arange(c, dtype=np.int64)
     k = (((a % c) * (l * l % c)) % c + (b % c) * l) % c
-    total = np.exp((2j * np.pi / c) * k).sum()
-    return GaussValue(float(total.real), float(total.imag), _classify(a, b, c))
+    return complex(np.exp((2j * np.pi / c) * k).sum())
 
 
 def gauss_direct_row(a: int, c: int) -> np.ndarray:
@@ -102,19 +56,19 @@ def gauss_direct_row(a: int, c: int) -> np.ndarray:
     return c * np.fft.ifft(w)
 
 
-def gauss_magnitude(p: int, m: int, q: int) -> float:
-    """|G(-p, m, q)| from the magnitude law, for gcd(p, q) = 1.
+def gauss_magnitude(p: int, m: int | np.ndarray, q: int) -> float | np.ndarray:
+    """|G(-p, m, q)| from the magnitude law, for gcd(p, q) = 1: a float for
+    one index m, a float row for an int64 index array.
 
     sqrt(q) for odd q; sqrt(2q) when q is even and q/2 = m mod 2; else 0.
     """
     _check_summation_modulus(q)
     if math.gcd(p, q) != 1:
         raise NotCoprime(f"p={p} and q={q} are not coprime")
+    m = np.asarray(m, dtype=np.int64)
     if q % 2 == 1:
-        return math.sqrt(q)
-    if (q // 2 - m) % 2 == 0:
-        return math.sqrt(2 * q)
-    return 0.0
+        return np.full(m.shape, math.sqrt(q))[()]
+    return np.where((q // 2 - m) % 2 == 0, math.sqrt(2 * q), 0.0)[()]
 
 
 def _phase_row(scale: int, ks: np.ndarray, den: int) -> np.ndarray:
@@ -133,7 +87,7 @@ def closed_odd_row(p: int, q: int, ms: np.ndarray) -> np.ndarray:
     if math.gcd(p, q) != 1:
         raise NotCoprime(f"p={p} and q={q} are not coprime")
     p %= q
-    phi = mod_inverse(4 * p, q).value
+    phi = mod_inverse(4 * p, q)
     pref = math.sqrt(q) * jacobi(p, q)
     if q % 4 == 3:
         pref *= -1j
@@ -158,7 +112,7 @@ def closed_2mod4_row(p: int, q: int, ms: np.ndarray) -> np.ndarray:
         raise NotCoprime(f"p={p} and q={q} are not coprime")
     p %= q
     half = q // 2
-    phi1 = mod_inverse(8 * p, half).value
+    phi1 = mod_inverse(8 * p, half)
     pref = math.sqrt(2 * q) * jacobi(2 * p, half)
     if q % 8 == 6:
         pref *= -1j
@@ -183,10 +137,10 @@ def closed_0mod4_row(p: int, q: int, ms: np.ndarray) -> np.ndarray:
     if math.gcd(p, q) != 1:
         raise NotCoprime(f"p={p} and q={q} are not coprime")
     p %= q
-    fac = factor_pow2(q)
-    two_r, q1 = 1 << fac.r, fac.q_odd
-    phi1 = mod_inverse(4 * two_r * p, q1).value
-    phi2 = mod_inverse(q1 * p, two_r).value
+    r, q1 = factor_pow2(q)
+    two_r = 1 << r
+    phi1 = mod_inverse(4 * two_r * p, q1)
+    phi2 = mod_inverse(q1 * p, two_r)
     pref = math.sqrt(q1) * jacobi(two_r * p, q1)
     if q1 % 4 == 3:
         pref *= -1j
@@ -196,24 +150,6 @@ def closed_0mod4_row(p: int, q: int, ms: np.ndarray) -> np.ndarray:
     m2 = ms * ms
     # exp(pi i phi2 m^2 / 2**(r+1)) = exp(2 pi i phi2 (m^2/4) / 2**r) for even m
     return pref * _phase_row(phi1, m2 % q1, q1) * _phase_row(phi2, (m2 >> 2) % two_r, two_r)
-
-
-def gauss_closed_odd(p: int, m: int, q: int) -> GaussValue:
-    """Scalar wrapper around `closed_odd_row`."""
-    val = complex(closed_odd_row(p, q, np.array([m]))[0])
-    return GaussValue(val.real, val.imag, _classify(-p, m, q))
-
-
-def gauss_closed_2mod4(p: int, m_odd: int, q: int) -> GaussValue:
-    """Scalar wrapper around `closed_2mod4_row`."""
-    val = complex(closed_2mod4_row(p, q, np.array([m_odd]))[0])
-    return GaussValue(val.real, val.imag, _classify(-p, m_odd, q))
-
-
-def gauss_closed_0mod4(p: int, m_even: int, q: int) -> GaussValue:
-    """Scalar wrapper around `closed_0mod4_row`."""
-    val = complex(closed_0mod4_row(p, q, np.array([m_even]))[0])
-    return GaussValue(val.real, val.imag, _classify(-p, m_even, q))
 
 
 def active_indices(q: int) -> range:
@@ -226,16 +162,17 @@ def active_indices(q: int) -> range:
     return range(0, q, 2)
 
 
-def theta_sequence(p: int, q: int) -> list[ThetaPhase]:
-    """Phases of the nonzero sums G(-p, m, q) over one period in m."""
+def theta_sequence(p: int, q: int) -> np.ndarray:
+    """Phases in [0, 2 pi) of the nonzero sums G(-p, m, q), one per m of
+    active_indices(q).
+
+    Each phase is taken with math.atan2: np.arctan2 differs from it in the
+    last bit for some sums, which would change the polygon bytes.
+    """
     _check_summation_modulus(q)
     if math.gcd(p, q) != 1:
         raise NotCoprime(f"p={p} and q={q} are not coprime")
-    row = gauss_direct_row(-p, q)
-    out = []
-    for m in active_indices(q):
-        theta = math.atan2(row[m].imag, row[m].real) % TWO_PI
-        if theta >= TWO_PI:  # rounding of tiny negative angles
-            theta = 0.0
-        out.append(ThetaPhase(theta=theta, m=m))
-    return out
+    row = gauss_direct_row(-p, q)[active_indices(q)]
+    thetas = np.array([math.atan2(z.imag, z.real) for z in row.tolist()]) % TWO_PI
+    thetas[thetas >= TWO_PI] = 0.0  # rounding of tiny negative angles
+    return thetas

@@ -1,13 +1,11 @@
-"""Exact integer arithmetic: inverses, Jacobi symbols, totients, CRT.
+"""Exact integer arithmetic: inverses, Jacobi symbols, totients.
 
-All operations are pure functions on plain ints; results that carry their
-modulus come back as small frozen dataclasses.
+All operations are pure functions on plain ints.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import EvenModulus, NotCoprime, NotInvertible, RangeError
 
@@ -17,39 +15,6 @@ from .errors import EvenModulus, NotCoprime, NotInvertible, RangeError
 MAX_MODULUS = 2**31
 
 
-@dataclass(frozen=True, slots=True)
-class Residue:
-    """An element of Z_n in canonical form 0 <= value < modulus."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise RangeError(f"modulus must be positive, got {self.modulus}")
-        if not 0 <= self.value < self.modulus:
-            raise ValueError(
-                f"residue {self.value} not reduced mod {self.modulus}"
-            )
-
-
-@dataclass(frozen=True, slots=True)
-class FactoredModulus:
-    """q split as 2**r * q_odd with q_odd odd."""
-
-    r: int
-    q_odd: int
-    q: int
-
-
-@dataclass(frozen=True, slots=True)
-class PhiResult:
-    """Value of the inverse map and the modulus it lives in (q or q/2)."""
-
-    phi: int
-    effective_modulus: int
-
-
 def _check_modulus(n: int) -> None:
     if n < 1:
         raise RangeError(f"modulus must be positive, got {n}")
@@ -57,7 +22,7 @@ def _check_modulus(n: int) -> None:
         raise RangeError(f"modulus {n} exceeds supported bound 2**31")
 
 
-def mod_inverse(a: int, n: int) -> Residue:
+def mod_inverse(a: int, n: int) -> int:
     """Inverse of a modulo n by the extended Euclidean algorithm.
 
     n = 1 returns 0: the ring Z_1 is trivial and every congruence there
@@ -65,20 +30,11 @@ def mod_inverse(a: int, n: int) -> Residue:
     """
     _check_modulus(n)
     if n == 1:
-        return Residue(0, 1)
+        return 0
     a %= n
     if math.gcd(a, n) != 1:
         raise NotInvertible(f"{a} has no inverse mod {n}")
-    return Residue(pow(a, -1, n), n)
-
-
-def fermat_inverse(a: int, n: int) -> Residue:
-    """Inverse modulo a prime n via a**(n-2) mod n, with 0 mapped to 0."""
-    _check_modulus(n)
-    a %= n
-    if a == 0 or n == 1:
-        return Residue(0, n)
-    return Residue(pow(a, n - 2, n), n)
+    return pow(a, -1, n)
 
 
 def jacobi(a: int, n: int) -> int:
@@ -121,40 +77,28 @@ def euler_totient(q: int) -> int:
     return result
 
 
-def factor_pow2(q: int) -> FactoredModulus:
-    """Split q = 2**r * q_odd with q_odd odd."""
+def factor_pow2(q: int) -> tuple[int, int]:
+    """(r, q_odd) with q = 2**r * q_odd and q_odd odd."""
     _check_modulus(q)
     r = (q & -q).bit_length() - 1
-    return FactoredModulus(r=r, q_odd=q >> r, q=q)
+    return r, q >> r
 
 
-def crt_combine(r1: Residue, r2: Residue) -> Residue:
-    """The unique residue mod n1*n2 reducing to r1 mod n1 and r2 mod n2."""
-    n1, n2 = r1.modulus, r2.modulus
-    if math.gcd(n1, n2) != 1:
-        raise NotCoprime(f"moduli {n1} and {n2} are not coprime")
-    _check_modulus(n1 * n2)
-    step = (r2.value - r1.value) * pow(n1, -1, n2) % n2 if n2 > 1 else 0
-    return Residue(r1.value + n1 * step, n1 * n2)
-
-
-def phi_p(p: int, q: int) -> PhiResult:
-    """The inverse map driving the tangent-evolution phases.
+def phi_p(p: int, q: int) -> tuple[int, int]:
+    """(phi, effective modulus) of the inverse map driving the
+    tangent-evolution phases.
 
     (4p)^-1 mod q for odd q; p^-1 mod (q/2) when q = 2 mod 4; p^-1 mod q
-    when q = 0 mod 4.  The effective modulus records which ring the value
-    lives in.
+    when q = 0 mod 4.  The effective modulus is the ring phi lives in.
     """
     _check_modulus(q)
     if math.gcd(p, q) != 1:
         raise NotCoprime(f"p={p} and q={q} are not coprime")
     if q % 2 == 1:
-        inv = mod_inverse(4 * p, q)
-    elif q % 4 == 2:
-        inv = mod_inverse(p, q // 2)
-    else:
-        inv = mod_inverse(p, q)
-    return PhiResult(phi=inv.value, effective_modulus=inv.modulus)
+        return mod_inverse(4 * p, q), q
+    if q % 4 == 2:
+        return mod_inverse(p, q // 2), q // 2
+    return mod_inverse(p, q), q
 
 
 def coprime_residues(q: int) -> list[int]:

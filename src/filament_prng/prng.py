@@ -202,9 +202,9 @@ def vfe_unit_samples(q: int) -> Stream:
     For prime q these coincide with eicg_stream(q, a=4, b=0) at indices p.
     """
     residues = coprime_residues(q)
-    phis = [phi_p(p, q) for p in residues]
-    modulus = phis[0].effective_modulus if phis else q
-    return _stream(residues, [res.phi for res in phis], modulus)
+    phis = [phi_p(p, q)[0] for p in residues]
+    modulus = phi_p(residues[0], q)[1] if residues else q
+    return _stream(residues, phis, modulus)
 
 
 def compound_identity_residual(
@@ -220,24 +220,17 @@ def compound_identity_residual(
     lhs = np.ones(len(ps), dtype=complex)
     for qj in primes:
         angle = corner_angle(sides, qj)
-        phases = np.array([phi_p(p, qj).phi for p in ps], dtype=np.int64)
+        phases = np.array([phi_p(p, qj)[0] for p in ps], dtype=np.int64)
         z = circle_row(angle, phases / qj)
         lhs *= (angle.cos_rho**2 + 1j * z) / angle.sin_rho**2
     return np.abs(lhs - np.exp(2j * math.pi * np.asarray(u, dtype=float)))
 
 
-def compound_stream(sides: int, primes: Sequence[int], count: int, start: int = 0) -> Stream:
-    """Combined phases u_p = sum_j phi_j(p)/q_j mod 1 with phi_j = (4p)^-1
-    mod q_j, over indices p coprime to every prime, ascending.
-
-    x_p is assembled exactly over the common denominator prod(q_j), and
-    each emitted sample is checked against the circle-product identity
-    prod_j (c_j^2 + i z_j(p)) / s_j^2 = exp(2 pi i u_p).
-    """
-    spec = StreamSpec.compound(primes, sides=sides)
-    qs = spec.primes
+def _compound_states(spec: StreamSpec, count: int, start: int) -> Stream:
+    """The compound states x_p, assembled exactly over prod(q_j) by the
+    Chinese remainder theorem, unchecked."""
     modulus = spec.modulus
-    weights = [modulus // qj for qj in qs]
+    weights = [modulus // qj for qj in spec.primes]
     ns: list[int] = []
     xs: list[int] = []
     p = 0
@@ -251,9 +244,22 @@ def compound_stream(sides: int, primes: Sequence[int], count: int, start: int = 
             continue
         ns.append(p)
         xs.append(
-            sum(mod_inverse(4 * p, qj).value * w for qj, w in zip(qs, weights)) % modulus
+            sum(mod_inverse(4 * p, qj) * w for qj, w in zip(spec.primes, weights)) % modulus
         )
-    stream = _stream(ns, xs, modulus)
+    return _stream(ns, xs, modulus)
+
+
+def compound_stream(sides: int, primes: Sequence[int], count: int, start: int = 0) -> Stream:
+    """Combined phases u_p = sum_j phi_j(p)/q_j mod 1 with phi_j = (4p)^-1
+    mod q_j, over indices p coprime to every prime, ascending.
+
+    x_p is assembled exactly over the common denominator prod(q_j), and
+    each emitted sample is checked against the circle-product identity
+    prod_j (c_j^2 + i z_j(p)) / s_j^2 = exp(2 pi i u_p).
+    """
+    spec = StreamSpec.compound(primes, sides=sides)
+    qs = spec.primes
+    stream = _compound_states(spec, count, start)
     residual = compound_identity_residual(sides, qs, stream.n, stream.u)
     failing = np.flatnonzero(~(residual <= 1e-9))  # a NaN residual fails too
     if failing.size:
@@ -261,17 +267,3 @@ def compound_stream(sides: int, primes: Sequence[int], count: int, start: int = 
             f"circle-product identity violated at p={stream.n[failing[0]]} for primes {qs}"
         )
     return stream
-
-
-def parallel_streams_distinct(q: int, params: Sequence[tuple[int, int]]) -> bool:
-    """Whether a family of inversive streams x_n^i = (a_i n + b_i)^-1 mod q
-    has all the values b_i * a_i^-1 distinct mod q, the stated condition for
-    well-behaved parallel tuples."""
-    if not is_probable_prime(q):
-        raise CompositeModulus(f"modulus {q} is not prime")
-    seen = set()
-    for a, b in params:
-        if a % q == 0:
-            raise BadParameters("family members need a != 0 mod q")
-        seen.add(b * pow(a, q - 2, q) % q)
-    return len(seen) == len(params)

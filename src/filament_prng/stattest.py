@@ -21,6 +21,11 @@ from .prng import randu_preset
 
 MAX_EXACT_POINTS = 4096
 MAX_EXACT_DIM = 3
+# Work budget of the exact scan: the number of anchored boxes it examines,
+# the product over axes of (distinct coordinates + 1).  It admits k = 2 at
+# N = 4096 and k = 3 up to N = 1023; the k = 3 scan already takes tens of
+# seconds at N = 1009, and its cost grows like N^3.
+MAX_EXACT_BOXES = 2**30
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,18 +64,6 @@ class DiscrepancyReport:
         }
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Reference discrepancy bounds for a prime-modulus inversive stream."""
-
-    p: int
-    k: int
-    upper: float
-    t: float
-    lower_threshold: float
-    a_p_t: float
-
-
 def make_tuples(samples: Sequence[float], k: int, lags: Sequence[int]) -> TupleCloud:
     """One k-tuple per sample index, indices wrapping modulo the period."""
     u = np.asarray(samples, dtype=float)
@@ -96,13 +89,19 @@ def star_discrepancy(cloud: TupleCloud) -> float:
     The supremum over anchored boxes is attained on the grid of point
     coordinates extended by 1.0 in each axis, provided both the open count
     (coordinates strictly below the corner) and the closed count (below or
-    equal) are examined; this scans both.  Exact for k <= 3 and N <= 4096;
-    the k = 3 cost grows like N^3, so keep N moderate there.
+    equal) are examined; this scans both.  Exact for k <= 3 and N <= 4096,
+    and refused before any work when the box count exceeds MAX_EXACT_BOXES.
     """
     if cloud.k > MAX_EXACT_DIM or cloud.n > MAX_EXACT_POINTS:
         raise TooLarge(
             f"exact algorithm limited to k <= {MAX_EXACT_DIM}, "
             f"N <= {MAX_EXACT_POINTS}; got k={cloud.k}, N={cloud.n}"
+        )
+    boxes = math.prod(len(np.unique(column)) + 1 for column in cloud.points.T)
+    if boxes > MAX_EXACT_BOXES:
+        raise TooLarge(
+            f"exact scan limited to {MAX_EXACT_BOXES} anchored boxes (2**30); "
+            f"k={cloud.k}, N={cloud.n} needs {boxes}"
         )
     if cloud.k == 1:
         return _star_1d(cloud.points[:, 0], cloud.n)
@@ -194,14 +193,6 @@ def theorem3_lower(p: int, t: float) -> tuple[float, float]:
     threshold = t / (2.0 * (math.pi + 2.0)) / math.sqrt(p)
     fraction = (1.0 - t * t) * p / ((4.0 - t * t) * p + 12.0 * math.sqrt(p) + 9.0)
     return threshold, fraction
-
-
-def bound_report(p: int, k: int, t: float = 0.5) -> BoundReport:
-    threshold, fraction = theorem3_lower(p, t)
-    return BoundReport(
-        p=p, k=k, upper=theorem2_upper(p, k), t=t,
-        lower_threshold=threshold, a_p_t=fraction,
-    )
 
 
 def serial_test(samples: Sequence[float], k: int, lags: Sequence[int]) -> DiscrepancyReport:

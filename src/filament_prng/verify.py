@@ -17,9 +17,16 @@ import numpy as np
 
 from .errors import BadParameters
 from .filament import PolygonConfig, RationalTime, closure_residual, corner_products, z_qm_closed
-from .gauss import active_indices, closed_0mod4_row, closed_2mod4_row, closed_odd_row, gauss_direct_row
+from .gauss import (
+    active_indices,
+    closed_0mod4_row,
+    closed_2mod4_row,
+    closed_odd_row,
+    gauss_direct_row,
+    gauss_magnitude,
+)
 from .modular import coprime_residues
-from .prng import compound_identity_residual, compound_stream
+from .prng import StreamSpec, _compound_states, compound_identity_residual
 
 
 @dataclass(frozen=True)
@@ -64,11 +71,7 @@ def _gauss_errors_for_q(q: int) -> tuple[tuple[float, int], tuple[float, int]]:
     """(magnitude error, cases) and (closed-form error, cases), errors
     normalized by sqrt(q)."""
     scale = math.sqrt(q)
-    m = np.arange(q)
-    if q % 2:
-        law = np.full(q, math.sqrt(q))
-    else:
-        law = np.where((q // 2 - m) % 2 == 0, math.sqrt(2 * q), 0.0)
+    law = gauss_magnitude(1, np.arange(q), q)  # the same for every coprime p
     active = np.asarray(active_indices(q))
     mag_err = closed_err = 0.0
     mag_cases = closed_cases = 0
@@ -157,14 +160,14 @@ def verify_compound(
 ) -> SuiteResult:
     """Circle-product identity over every admissible index p <= p_max.
 
-    compound_stream already raises if the identity drifts past 1e-9; this
-    sweep records the worst residual explicitly.
+    Each stream is built once without compound_stream's own check, and the
+    identity is evaluated once over it to record the worst residual.
     """
     rows = []
     for primes in prime_sets:
-        modulus = math.prod(primes)
-        count = sum(1 for p in range(1, p_max + 1) if math.gcd(p, modulus) == 1)
-        stream = compound_stream(sides, primes, count)
-        residual = compound_identity_residual(sides, tuple(primes), stream.n, stream.u)
+        spec = StreamSpec.compound(primes, sides=sides)
+        count = sum(1 for p in range(1, p_max + 1) if math.gcd(p, spec.modulus) == 1)
+        stream = _compound_states(spec, count, 0)
+        residual = compound_identity_residual(sides, spec.primes, stream.n, stream.u)
         rows.append((float(np.max(residual, initial=0.0)), len(stream)))
     return _suite("compound", rows, 1e-9)

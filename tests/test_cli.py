@@ -48,6 +48,20 @@ def test_generate_vfe_circle_points(capsys):
     assert len(lines) == 1 + 100  # phi(101) points
 
 
+def test_generate_vfe_honours_count_and_start(capsys):
+    _, full, _ = run(capsys, "generate", "--kind", "vfe", "-q", "101")
+    full = full.splitlines()
+    code, out, _ = run(capsys, "generate", "--kind", "vfe", "-q", "101", "-n", "3", "--start", "7")
+    assert code == EXIT_OK
+    assert out.splitlines() == [full[0]] + full[8:11]  # data rows 8 to 10
+    _, head, _ = run(capsys, "generate", "--kind", "vfe", "-q", "101", "--start", "0", "-n", "40")
+    _, tail, _ = run(capsys, "generate", "--kind", "vfe", "-q", "101", "--start", "40")
+    assert head.splitlines() + tail.splitlines()[1:] == full
+    code, out, _ = run(capsys, "stats", "chi2", "--kind", "vfe", "-q", "101", "-n", "5")
+    assert code == EXIT_OK
+    assert json.loads(out)["samples"] == 5
+
+
 def test_generate_compound_json(capsys):
     code, out, _ = run(
         capsys,
@@ -108,6 +122,7 @@ def test_bad_subcommand_usage_exit(capsys):
         "generate --kind eicg -q 101 --start -1",
         "stats randu-planes -n -5",
         "stats randu-planes -n 2",
+        "stats serial -k 3 --kind eicg -q 4093",
         "generate --kind vfe -q 0",
         "polygon -q 0",
         "polygon -q 3 -p -1",

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from filament_prng.errors import DegeneratePolygon, IndexOutOfRange, NotCoprime
+from filament_prng.errors import DegeneratePolygon, NotCoprime
 from filament_prng.filament import (
     CornerAngle,
-    FrameMatrix,
     PolygonConfig,
     RationalTime,
     build_polygon,
@@ -17,17 +16,35 @@ from filament_prng.filament import (
     closure_residual,
     corner_angle,
     corner_products,
-    rotation_matrix,
-    scalar_product_geometric,
-    transport_frames,
-    triple_product_geometric,
+    rotation_stack,
     z_qm_closed,
 )
+from filament_prng.gauss import active_indices, theta_sequence
 from filament_prng.modular import coprime_residues
 
 
 def config(sides, p, q):
     return PolygonConfig(sides, RationalTime(p, q))
+
+
+def rotation(angle, theta):
+    return rotation_stack(angle, np.array([theta]))[0]
+
+
+def transported_frames(cfg):
+    """Frames after each corner of one period: running products of the
+    corner rotations, the phase at grid index j being theta_(j mod q)."""
+    q = cfg.time.q
+    active = active_indices(q)
+    phases = dict(zip(active, theta_sequence(cfg.time.p, q).tolist()))
+    grid = range(active.start, cfg.sides * q, active.step)
+    rots = rotation_stack(corner_angle(cfg.sides, q), np.array([phases[j % q] for j in grid]))
+    frames = []
+    frame = np.eye(3)
+    for rot in rots:
+        frame = rot @ frame
+        frames.append(frame)
+    return frames
 
 
 def test_rational_time_validation():
@@ -70,14 +87,14 @@ def test_corner_angle_range(sides, q):
 
 def test_rotation_matrix_identity_at_zero_angle():
     flat = CornerAngle(rho=0.0, cos_rho=1.0, sin_rho=0.0)
-    assert np.allclose(rotation_matrix(flat, 1.234).matrix, np.eye(3), atol=1e-15)
+    assert np.allclose(rotation(flat, 1.234), np.eye(3), atol=1e-15)
 
 
 def test_rotation_matrix_theta_zero_layout():
     angle = corner_angle(3, 1)
     c, s = angle.cos_rho, angle.sin_rho
     expected = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
-    assert np.allclose(rotation_matrix(angle, 0.0).matrix, expected, atol=1e-15)
+    assert np.allclose(rotation(angle, 0.0), expected, atol=1e-15)
 
 
 @given(
@@ -86,35 +103,35 @@ def test_rotation_matrix_theta_zero_layout():
 )
 def test_rotation_matrix_orthogonal(rho, theta):
     angle = CornerAngle(rho=rho, cos_rho=math.cos(rho), sin_rho=math.sin(rho))
-    m = rotation_matrix(angle, theta).matrix
+    m = rotation(angle, theta)
     assert np.allclose(m @ m.T, np.eye(3), atol=1e-12)
     assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_transport_planar_triangle():
-    frames = transport_frames(config(3, 0, 1))
+    frames = transported_frames(config(3, 0, 1))
     assert len(frames) == 3
-    step = rotation_matrix(corner_angle(3, 1), 0.0).matrix
+    step = rotation(corner_angle(3, 1), 0.0)
     acc = np.eye(3)
     for frame in frames:
         acc = step @ acc
-        assert np.allclose(frame.matrix, acc, atol=1e-12)
-    assert np.allclose(frames[-1].matrix, np.eye(3), atol=1e-10)
+        assert np.allclose(frame, acc, atol=1e-12)
+    assert np.allclose(frames[-1], np.eye(3), atol=1e-10)
 
 
 def test_transport_frame_count_and_orthonormality():
-    frames = transport_frames(config(5, 1, 3))
+    frames = transported_frames(config(5, 1, 3))
     assert len(frames) == 15
     for frame in frames:
-        assert np.allclose(frame.matrix @ frame.matrix.T, np.eye(3), atol=1e-10)
-        assert np.linalg.det(frame.matrix) == pytest.approx(1.0, abs=1e-10)
-        assert frame.tangent @ frame.normal1 == pytest.approx(0.0, abs=1e-10)
-        assert frame.tangent @ frame.normal2 == pytest.approx(0.0, abs=1e-10)
+        assert np.allclose(frame @ frame.T, np.eye(3), atol=1e-10)
+        assert np.linalg.det(frame) == pytest.approx(1.0, abs=1e-10)
+        assert frame[0] @ frame[1] == pytest.approx(0.0, abs=1e-10)
+        assert frame[0] @ frame[2] == pytest.approx(0.0, abs=1e-10)
 
 
 def test_orthonormality_drift_stays_small():
-    frames = transport_frames(config(10, 7, 50))
-    last = frames[-1].matrix
+    frames = transported_frames(config(10, 7, 50))
+    last = frames[-1]
     assert np.linalg.norm(last @ last.T - np.eye(3)) < 1e-8
 
 
@@ -130,7 +147,7 @@ def test_build_polygon_square():
     verts = build_polygon(config(4, 0, 1))
     assert verts.shape == (4, 3)
     ell = config(4, 0, 1).side_length
-    final_tangent = transport_frames(config(4, 0, 1))[-1].tangent
+    final_tangent = transported_frames(config(4, 0, 1))[-1][0]
     assert np.linalg.norm(verts[0] - (verts[-1] + ell * final_tangent)) < 1e-10
 
 
@@ -145,36 +162,48 @@ def test_build_polygon_skew_closes():
     cfg = config(5, 1, 2)
     verts = build_polygon(cfg)
     assert verts.shape == (5, 3)
-    final_tangent = transport_frames(cfg)[-1].tangent
+    final_tangent = transported_frames(cfg)[-1][0]
     gap = verts[0] - (verts[-1] + cfg.side_length * final_tangent)
     assert np.linalg.norm(gap) < 1e-10
 
 
+def test_build_polygon_matches_transported_frames():
+    # bit-identical to the running products of the corner rotations
+    for sides, p, q in [(5, 1, 3), (4, 5, 6), (6, 5, 12), (7, 3, 97), (3, 511, 1024)]:
+        cfg = config(sides, p, q)
+        tangents = np.array([frame[0] for frame in transported_frames(cfg)])
+        expected = np.zeros_like(tangents)
+        expected[1:] = np.cumsum(cfg.side_length * tangents[:-1], axis=0)
+        assert np.array_equal(build_polygon(cfg), expected)
+
+
 def test_triple_product_planar_is_zero():
     cfg = config(4, 1, 1)
-    for m in range(cfg.corner_count):
-        assert triple_product_geometric(cfg, m) == pytest.approx(0.0, abs=1e-12)
+    triples, _ = corner_products(cfg)
+    assert len(triples) == cfg.corner_count
+    for triple in triples.tolist():
+        assert triple == pytest.approx(0.0, abs=1e-12)
 
 
 def test_scalar_product_planar_is_cos_2rho():
     for sides in (3, 4, 7):
         cfg = config(sides, 1, 1)
         rho = corner_angle(sides, 1).rho
-        for m in range(cfg.corner_count):
-            assert scalar_product_geometric(cfg, m) == pytest.approx(
-                math.cos(2 * rho), abs=1e-12
-            )
+        _, scalars = corner_products(cfg)
+        assert len(scalars) == cfg.corner_count
+        for scalar in scalars.tolist():
+            assert scalar == pytest.approx(math.cos(2 * rho), abs=1e-12)
 
 
 def test_q2_degenerate_case():
     # the half-turn time: triple 0 and scalar cos(4 pi / M)
     for sides in (3, 4, 5, 8):
         cfg = config(sides, 1, 2)
-        for m in range(cfg.corner_count):
-            assert triple_product_geometric(cfg, m) == pytest.approx(0.0, abs=1e-12)
-            assert scalar_product_geometric(cfg, m) == pytest.approx(
-                math.cos(4 * math.pi / sides), abs=1e-12
-            )
+        triples, scalars = corner_products(cfg)
+        assert len(triples) == cfg.corner_count
+        for triple, scalar in zip(triples.tolist(), scalars.tolist()):
+            assert triple == pytest.approx(0.0, abs=1e-12)
+            assert scalar == pytest.approx(math.cos(4 * math.pi / sides), abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -182,10 +211,10 @@ def test_q2_degenerate_case():
     [(3, 5, 1, 0), (4, 4, 1, 0), (5, 3, 1, 1)],
 )
 def test_products_match_closed_form_examples(sides, q, p, m):
-    cfg = config(sides, p, q)
+    triples, scalars = corner_products(config(sides, p, q))
     closed = z_qm_closed(sides, q, p, m)
-    assert triple_product_geometric(cfg, m) == pytest.approx(closed.real, abs=1e-10)
-    assert scalar_product_geometric(cfg, m) == pytest.approx(closed.imag, abs=1e-10)
+    assert triples[m] == pytest.approx(closed.real, abs=1e-10)
+    assert scalars[m] == pytest.approx(closed.imag, abs=1e-10)
 
 
 def test_products_match_closed_form_sweep():
@@ -201,22 +230,14 @@ def test_products_match_closed_form_sweep():
                     )
 
 
-def test_index_out_of_range():
-    cfg = config(3, 1, 5)
-    with pytest.raises(IndexOutOfRange):
-        triple_product_geometric(cfg, cfg.corner_count)
-    with pytest.raises(IndexOutOfRange):
-        scalar_product_geometric(cfg, -1)
-
-
 def test_rotation_invariance_of_products():
-    spin = rotation_matrix(
+    spin = rotation(
         CornerAngle(rho=0.9, cos_rho=math.cos(0.9), sin_rho=math.sin(0.9)), 1.3
-    ).matrix
-    tilt = rotation_matrix(
+    )
+    tilt = rotation(
         CornerAngle(rho=0.4, cos_rho=math.cos(0.4), sin_rho=math.sin(0.4)), -2.6
-    ).matrix
-    initial = FrameMatrix(matrix=spin @ tilt)
+    )
+    initial = spin @ tilt
     for sides, p, q in [(3, 1, 5), (4, 1, 6), (5, 1, 8), (6, 5, 12)]:
         cfg = config(sides, p, q)
         base_t, base_s = corner_products(cfg)

@@ -1,17 +1,17 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from filament_prng.errors import EvenModulus, NotCoprime, WrongParityClass
 from filament_prng.gauss import (
-    MagnitudeClass,
     active_indices,
-    gauss_closed_0mod4,
-    gauss_closed_2mod4,
-    gauss_closed_odd,
+    closed_0mod4_row,
+    closed_2mod4_row,
+    closed_odd_row,
     gauss_direct,
     gauss_direct_row,
     gauss_magnitude,
@@ -30,19 +30,19 @@ def coprime_pairs(q_max):
 
 def test_direct_trivial_sum():
     val = gauss_direct(0, 0, 3)
-    assert val.value == pytest.approx(3 + 0j, abs=1e-12)
+    assert val == pytest.approx(3 + 0j, abs=1e-12)
 
 
 def test_direct_three_term():
     val = gauss_direct(-1, 0, 3)
-    assert val.value == pytest.approx(-1j * math.sqrt(3), abs=1e-12)
+    assert val == pytest.approx(-1j * math.sqrt(3), abs=1e-12)
 
 
 def test_direct_two_term_even():
     val = gauss_direct(-1, 1, 2)
-    assert val.value == pytest.approx(2 + 0j, abs=1e-12)
-    assert abs(val.value) == pytest.approx(math.sqrt(2 * 2), abs=1e-12)
-    assert val.magnitude_class is MagnitudeClass.EVEN_Q_SQRT_2Q
+    assert val == pytest.approx(2 + 0j, abs=1e-12)
+    assert abs(val) == pytest.approx(math.sqrt(2 * 2), abs=1e-12)
+    assert gauss_magnitude(1, 1, 2) == math.sqrt(2 * 2)
 
 
 def test_direct_row_matches_scalar():
@@ -50,7 +50,7 @@ def test_direct_row_matches_scalar():
         row = gauss_direct_row(-p, q)
         for m in range(q):
             assert row[m] == pytest.approx(
-                gauss_direct(-p, m, q).value, abs=1e-10
+                gauss_direct(-p, m, q), abs=1e-10
             )
 
 
@@ -60,8 +60,8 @@ def test_direct_row_matches_scalar():
     st.integers(min_value=1, max_value=60),
 )
 def test_direct_periodic_in_b(a, b, c):
-    assert gauss_direct(a, b + c, c).value == pytest.approx(
-        gauss_direct(a, b, c).value, abs=1e-10
+    assert gauss_direct(a, b + c, c) == pytest.approx(
+        gauss_direct(a, b, c), abs=1e-10
     )
 
 
@@ -71,8 +71,8 @@ def test_direct_periodic_in_b(a, b, c):
     st.integers(min_value=1, max_value=60),
 )
 def test_direct_conjugation(a, b, c):
-    assert gauss_direct(-a, -b, c).value == pytest.approx(
-        gauss_direct(a, b, c).value.conjugate(), abs=1e-10
+    assert gauss_direct(-a, -b, c) == pytest.approx(
+        gauss_direct(a, b, c).conjugate(), abs=1e-10
     )
 
 
@@ -86,6 +86,13 @@ def test_direct_conjugation(a, b, c):
 )
 def test_magnitude_examples(p, m, q, expected):
     assert gauss_magnitude(p, m, q) == pytest.approx(expected, abs=1e-15)
+
+
+def test_magnitude_row_matches_scalar():
+    for q in (1, 7, 10, 12):
+        ms = np.arange(3 * q)
+        row = gauss_magnitude(1, ms, q)
+        assert row.tolist() == [gauss_magnitude(1, m, q) for m in ms.tolist()]
 
 
 def test_magnitude_rejects_noncoprime():
@@ -103,13 +110,13 @@ def test_magnitude_law_against_direct():
 
 
 def test_closed_odd_examples():
-    assert gauss_closed_odd(1, 0, 3).value == pytest.approx(
+    assert closed_odd_row(1, 3, np.array([0]))[0] == pytest.approx(
         -1j * math.sqrt(3), abs=1e-12
     )
-    assert gauss_closed_odd(1, 1, 5).value == pytest.approx(
+    assert closed_odd_row(1, 5, np.array([1]))[0] == pytest.approx(
         math.sqrt(5) * cmath.exp(8j * math.pi / 5), abs=1e-12
     )
-    assert gauss_closed_odd(1, 0, 1).value == pytest.approx(1 + 0j, abs=1e-15)
+    assert closed_odd_row(1, 1, np.array([0]))[0] == pytest.approx(1 + 0j, abs=1e-15)
 
 
 def test_closed_odd_matches_direct():
@@ -117,17 +124,16 @@ def test_closed_odd_matches_direct():
         if q % 2 == 0:
             continue
         row = gauss_direct_row(-p, q)
-        for m in range(q):
-            assert gauss_closed_odd(p, m, q).value == pytest.approx(
-                row[m], abs=1e-9 * math.sqrt(q)
-            )
+        assert closed_odd_row(p, q, np.arange(q)) == pytest.approx(
+            row, abs=1e-9 * math.sqrt(q)
+        )
 
 
 def test_closed_odd_rejects_bad_inputs():
     with pytest.raises(EvenModulus):
-        gauss_closed_odd(1, 0, 4)
+        closed_odd_row(1, 4, np.array([0]))
     with pytest.raises(NotCoprime):
-        gauss_closed_odd(3, 0, 9)
+        closed_odd_row(3, 9, np.array([0]))
 
 
 def test_closed_2mod4_matches_direct():
@@ -135,29 +141,27 @@ def test_closed_2mod4_matches_direct():
         if q % 4 != 2 or q == 2:
             continue
         row = gauss_direct_row(-p, q)
-        for m in range(1, q, 2):
-            val = gauss_closed_2mod4(p, m, q)
-            assert val.value == pytest.approx(row[m], abs=1e-9 * math.sqrt(q))
-            assert abs(val.value) == pytest.approx(
-                math.sqrt(2 * q), rel=1e-12
-            )
+        ms = np.arange(1, q, 2)
+        closed = closed_2mod4_row(p, q, ms)
+        assert closed == pytest.approx(row[ms], abs=1e-9 * math.sqrt(q))
+        assert np.abs(closed) == pytest.approx(math.sqrt(2 * q), rel=1e-12)
 
 
 def test_closed_2mod4_rejects_bad_inputs():
     with pytest.raises(WrongParityClass):
-        gauss_closed_2mod4(1, 1, 2)  # no closed form at q = 2
+        closed_2mod4_row(1, 2, np.array([1]))  # no closed form at q = 2
     with pytest.raises(WrongParityClass):
-        gauss_closed_2mod4(1, 2, 6)  # even index
+        closed_2mod4_row(1, 6, np.array([2]))  # even index
     with pytest.raises(WrongParityClass):
-        gauss_closed_2mod4(1, 1, 8)  # wrong parity class of q
+        closed_2mod4_row(1, 8, np.array([1]))  # wrong parity class of q
     with pytest.raises(NotCoprime):
-        gauss_closed_2mod4(3, 1, 6)
+        closed_2mod4_row(3, 6, np.array([1]))
 
 
 def test_closed_0mod4_examples_match_direct():
     for p, m, q in [(1, 0, 4), (1, 2, 12), (3, 0, 8)]:
-        assert gauss_closed_0mod4(p, m, q).value == pytest.approx(
-            gauss_direct(-p, m, q).value, abs=1e-9 * math.sqrt(q)
+        assert closed_0mod4_row(p, q, np.array([m]))[0] == pytest.approx(
+            gauss_direct(-p, m, q), abs=1e-9 * math.sqrt(q)
         )
 
 
@@ -166,19 +170,19 @@ def test_closed_0mod4_matches_direct():
         if q % 4 != 0:
             continue
         row = gauss_direct_row(-p, q)
-        for m in range(0, q, 2):
-            assert gauss_closed_0mod4(p, m, q).value == pytest.approx(
-                row[m], abs=1e-9 * math.sqrt(q)
-            )
+        ms = np.arange(0, q, 2)
+        assert closed_0mod4_row(p, q, ms) == pytest.approx(
+            row[ms], abs=1e-9 * math.sqrt(q)
+        )
 
 
 def test_closed_0mod4_rejects_bad_inputs():
     with pytest.raises(WrongParityClass):
-        gauss_closed_0mod4(1, 1, 4)  # odd index
+        closed_0mod4_row(1, 4, np.array([1]))  # odd index
     with pytest.raises(WrongParityClass):
-        gauss_closed_0mod4(1, 0, 6)
+        closed_0mod4_row(1, 6, np.array([0]))
     with pytest.raises(NotCoprime):
-        gauss_closed_0mod4(2, 0, 8)
+        closed_0mod4_row(2, 8, np.array([0]))
 
 
 def test_doubling_identity_2mod4():
@@ -186,45 +190,48 @@ def test_doubling_identity_2mod4():
     for q in range(6, 102, 4):
         for p in coprime_residues(q)[:4]:
             for m in range(1, q, 2):
-                lhs = gauss_direct(-p, m, q).value
-                rhs = 2 * gauss_direct(-2 * p, m, q // 2).value
+                lhs = gauss_direct(-p, m, q)
+                rhs = 2 * gauss_direct(-2 * p, m, q // 2)
                 assert lhs == pytest.approx(rhs, abs=1e-9 * math.sqrt(2 * q))
 
 
 def test_theta_sequence_trivial():
     phases = theta_sequence(1, 1)
     assert len(phases) == 1
-    assert phases[0].m == 0
-    assert phases[0].theta == 0.0
+    assert list(active_indices(1)) == [0]
+    assert phases[0] == 0.0
 
 
 def test_theta_sequence_matches_direct_args():
     phases = theta_sequence(1, 3)
-    for tp in phases:
-        expected = cmath.phase(gauss_direct(-1, tp.m, 3).value) % TWO_PI
-        assert tp.theta == pytest.approx(expected, abs=1e-12)
+    for m, theta in zip(active_indices(3), phases.tolist()):
+        expected = cmath.phase(gauss_direct(-1, m, 3)) % TWO_PI
+        assert theta == pytest.approx(expected, abs=1e-12)
 
 
 def test_theta_sequence_active_set():
-    assert [tp.m for tp in theta_sequence(1, 4)] == [0, 2]
-    assert [tp.m for tp in theta_sequence(1, 6)] == [1, 3, 5]
-    assert [tp.m for tp in theta_sequence(1, 5)] == [0, 1, 2, 3, 4]
+    # one phase per active index
+    assert list(active_indices(4)) == [0, 2]
+    assert list(active_indices(6)) == [1, 3, 5]
+    assert list(active_indices(5)) == [0, 1, 2, 3, 4]
     assert list(active_indices(2)) == [1]
+    for q in (4, 6, 5, 2):
+        assert len(theta_sequence(1, q)) == len(active_indices(q))
 
 
 def test_theta_sequence_normalization():
     for p, q in coprime_pairs(40):
-        for tp in theta_sequence(p, q):
-            assert 0.0 <= tp.theta < TWO_PI
+        for theta in theta_sequence(p, q).tolist():
+            assert 0.0 <= theta < TWO_PI
 
 
 def test_theta_phase_reconstructs_gauss_sum():
     # magnitude-law modulus times e^(i theta_m) recovers G(-p, m, q)
     for p, q in [(1, 9), (2, 15), (1, 10), (3, 16), (5, 12)]:
         row = gauss_direct_row(-p, q)
-        for tp in theta_sequence(p, q):
-            rebuilt = gauss_magnitude(p, tp.m, q) * cmath.exp(1j * tp.theta)
-            assert rebuilt == pytest.approx(row[tp.m], abs=1e-9 * math.sqrt(q))
+        for m, theta in zip(active_indices(q), theta_sequence(p, q).tolist()):
+            rebuilt = gauss_magnitude(p, m, q) * cmath.exp(1j * theta)
+            assert rebuilt == pytest.approx(row[m], abs=1e-9 * math.sqrt(q))
 
 
 def test_theta_sequence_rejects_noncoprime():
@@ -232,44 +239,13 @@ def test_theta_sequence_rejects_noncoprime():
         theta_sequence(2, 4)
 
 
-def test_magnitude_class_tags_match_values():
-    expected_magnitude = {
-        MagnitudeClass.ODD_Q_SQRT_Q: lambda q: math.sqrt(q),
-        MagnitudeClass.EVEN_Q_SQRT_2Q: lambda q: math.sqrt(2 * q),
-        MagnitudeClass.EVEN_Q_ZERO: lambda q: 0.0,
-    }
-    for p, q in coprime_pairs(40):
-        for m in range(q):
-            val = gauss_direct(-p, m, q)
-            assert val.magnitude_class is not None
-            assert abs(val) == pytest.approx(
-                expected_magnitude[val.magnitude_class](q),
-                abs=1e-9 * max(1.0, math.sqrt(q)),
-            )
-    # the law needs gcd(a, c) = 1; no tag otherwise
-    assert gauss_direct(0, 0, 3).magnitude_class is None
-    assert gauss_direct(2, 1, 4).magnitude_class is None
-
-
-def test_closed_forms_carry_class_tags():
-    assert gauss_closed_odd(1, 2, 5).magnitude_class is MagnitudeClass.ODD_Q_SQRT_Q
-    assert (
-        gauss_closed_2mod4(1, 3, 10).magnitude_class
-        is MagnitudeClass.EVEN_Q_SQRT_2Q
-    )
-    assert (
-        gauss_closed_0mod4(1, 2, 12).magnitude_class
-        is MagnitudeClass.EVEN_Q_SQRT_2Q
-    )
-
-
 def test_phase_difference_identity_odd_q():
     # exp(i theta_{m+1}) exp(-i theta_m) = exp(2 pi i phi(p)(2m+1)/q), q odd
     for q in range(1, 61, 2):
         for p in coprime_residues(q)[:5] or [1]:
-            phases = theta_sequence(p, q)
-            phi = phi_p(p, q).phi
+            phases = theta_sequence(p, q).tolist()
+            phi = phi_p(p, q)[0]
             for m in range(q - 1):
-                lhs = cmath.exp(1j * (phases[m + 1].theta - phases[m].theta))
+                lhs = cmath.exp(1j * (phases[m + 1] - phases[m]))
                 rhs = cmath.exp(2j * math.pi * phi * (2 * m + 1) / q)
                 assert lhs == pytest.approx(rhs, abs=1e-9)

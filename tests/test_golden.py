@@ -108,6 +108,16 @@ GOLDEN = {
         "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
     "generate --kind compound --primes 5,7 -n 0":
         "ebb30c73d88b1264b1187f8ebff489a30aabfe25eda39f9773165dd1fabefef0",
+    # Polygons at q = 0 mod 4 and at larger q, where a phase computed with
+    # np.arctan2 instead of math.atan2 moves by an ulp and changes bytes.
+    "polygon -M 6 -q 12 -p 5":
+        "6834a31e0f349c560410a2c6c6130d57d01140a492f345b44bbceaa818a6b5bb",
+    "polygon -M 7 -q 97 -p 3 --format json":
+        "d4b8586da06ba1d94b8b92682453a83ef1d5e1a56d1da800bc94ca3130e4c6df",
+    "polygon -M 3 -q 1024 -p 511":
+        "f791109d26fa5b94966199709704b15e619cf14d4fb002153a9025bac210208f",
+    "polygon -M 5 -q 998 -p 7":
+        "6db62f83fc185919e95d12ca9d16e7428547f2143afd8cc9b44ad07506aa83b7",
 }
 
 

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from filament_prng.errors import BadDimension, BadLags, BadT, EmptyInput, TooLarge
 from filament_prng.prng import StreamSpec, eicg_stream, vfe_unit_samples
 from filament_prng.stattest import (
+    MAX_EXACT_BOXES,
     TupleCloud,
-    bound_report,
     chi2_quantile_999,
     chi_square_uniformity,
     make_tuples,
@@ -134,6 +134,18 @@ def test_star_too_large():
         star_discrepancy(cloud_from(np.linspace(0, 0.999, 5000)[:, None]))
 
 
+def test_star_box_budget():
+    # The box count is the product over axes of (distinct coordinates + 1):
+    # k = 2 at N = 4096 fits, k = 3 at N = 4093 is refused before any work.
+    assert 4097**2 <= MAX_EXACT_BOXES < 4094**3
+    spread = np.arange(4093) / 4093
+    with pytest.raises(TooLarge, match="anchored boxes"):
+        star_discrepancy(cloud_from(np.column_stack([spread, spread[::-1], spread])))
+    # ties shrink the count, so a large tie-heavy cloud is admitted
+    tied = np.floor(np.random.default_rng(5).random((4093, 3)) * 8) / 8
+    assert star_discrepancy(cloud_from(tied)) == star_discrepancy_oracle(tied)
+
+
 def test_serial_test_eicg_within_bound():
     q = 101
     samples = eicg_stream(StreamSpec.eicg(q, a=4, b=0), q)
@@ -189,13 +201,6 @@ def test_theorem3_values():
         theorem3_lower(101, 0.0)
     with pytest.raises(BadT):
         theorem3_lower(101, 1.5)
-
-
-def test_bound_report_fields():
-    report = bound_report(101, 2, t=0.5)
-    assert report.p == 101 and report.k == 2
-    assert 0.0 < report.a_p_t < 1.0
-    assert report.upper > 0.0
 
 
 def test_randu_single_triple():

@@ -1,3 +1,4 @@
+from filament_prng import prng, verify
 from filament_prng.verify import (
     SuiteResult,
     verify_closure,
@@ -37,3 +38,17 @@ def test_compound_sweep_small():
     assert suite.passed
     # admissible means coprime to 35
     assert suite.cases == sum(1 for p in range(1, 301) if p % 5 and p % 7)
+
+
+def test_compound_sweep_evaluates_identity_once_per_stream(monkeypatch):
+    calls = []
+    residual = prng.compound_identity_residual
+
+    def counted(*args):
+        calls.append(args[1])
+        return residual(*args)
+
+    monkeypatch.setattr(prng, "compound_identity_residual", counted)
+    monkeypatch.setattr(verify, "compound_identity_residual", counted)
+    assert verify_compound(((5, 7), (11, 13, 17)), 1000).passed
+    assert calls == [(5, 7), (11, 13, 17)]
