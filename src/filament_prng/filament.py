@@ -16,9 +16,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegeneratePolygon, NotCoprime, RangeError
+from .errors import DegeneratePolygon, NotCoprime, RangeError, TooLarge
 from .gauss import TWO_PI, active_indices, theta_sequence
 from .modular import phi_p
+
+# Work budget of build_polygon: K corners cost a (K, 3, 3) rotation stack
+# and one Python step each, so time and memory grow like K (about 7 s and
+# 400 MB at 2**20 corners).
+MAX_POLYGON_CORNERS = 2**20
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,7 +151,13 @@ def closure_residual(config: PolygonConfig) -> float:
 def build_polygon(config: PolygonConfig) -> np.ndarray:
     """Vertex positions (K, 3): cumulative sum of side_length * tangent from
     the origin.  Arc-length side spacing; the traversal closes whenever the
-    rotation product does."""
+    rotation product does.  Refused before any work above
+    MAX_POLYGON_CORNERS corners."""
+    if config.corner_count > MAX_POLYGON_CORNERS:
+        raise TooLarge(
+            f"polygon limited to {MAX_POLYGON_CORNERS} corners (2**20); "
+            f"M={config.sides}, q={config.time.q} has {config.corner_count}"
+        )
     tangents = _tangent_rows(config)[1 : config.corner_count + 1]
     verts = np.zeros_like(tangents)
     verts[1:] = np.cumsum(config.side_length * tangents[:-1], axis=0)

@@ -24,7 +24,6 @@ from .modular import MAX_MODULUS, coprime_residues, is_probable_prime, mod_inver
 
 
 class StreamKind(Enum):
-    VFE_CIRCLE = "vfe"
     EICG = "eicg"
     EICG_POW2 = "eicg-pow2"
     LCG = "lcg"
@@ -66,7 +65,6 @@ class StreamSpec:
     b: int = 0
     x0: int = 0
     primes: tuple[int, ...] = ()
-    sides: int = 3
 
     def __post_init__(self):
         if self.modulus > MAX_MODULUS:
@@ -90,12 +88,6 @@ class StreamSpec:
         elif self.kind is StreamKind.LCG:
             if self.q < 1:
                 raise BadParameters(f"LCG modulus must be positive, got {self.q}")
-        elif self.kind is StreamKind.VFE_CIRCLE:
-            if self.sides < 3 or self.q < 1:
-                raise BadParameters(
-                    f"circle stream needs sides >= 3 and q >= 1, got "
-                    f"sides={self.sides}, q={self.q}"
-                )
         elif self.kind is StreamKind.COMPOUND:
             if not self.primes or len(set(self.primes)) != len(self.primes):
                 raise BadPrimes(f"need distinct primes, got {self.primes}")
@@ -132,12 +124,8 @@ class StreamSpec:
         return cls(kind=StreamKind.EICG_POW2, q=1 << omega, a=a, b=b)
 
     @classmethod
-    def vfe(cls, sides: int, q: int) -> "StreamSpec":
-        return cls(kind=StreamKind.VFE_CIRCLE, q=q, sides=sides)
-
-    @classmethod
-    def compound(cls, primes: Sequence[int], sides: int = 3) -> "StreamSpec":
-        return cls(kind=StreamKind.COMPOUND, primes=tuple(primes), sides=sides)
+    def compound(cls, primes: Sequence[int]) -> "StreamSpec":
+        return cls(kind=StreamKind.COMPOUND, primes=tuple(primes))
 
 
 def randu_preset() -> StreamSpec:
@@ -257,7 +245,7 @@ def compound_stream(sides: int, primes: Sequence[int], count: int, start: int = 
     each emitted sample is checked against the circle-product identity
     prod_j (c_j^2 + i z_j(p)) / s_j^2 = exp(2 pi i u_p).
     """
-    spec = StreamSpec.compound(primes, sides=sides)
+    spec = StreamSpec.compound(primes)
     qs = spec.primes
     stream = _compound_states(spec, count, start)
     residual = compound_identity_residual(sides, qs, stream.n, stream.u)

@@ -165,7 +165,7 @@ def verify_compound(
     """
     rows = []
     for primes in prime_sets:
-        spec = StreamSpec.compound(primes, sides=sides)
+        spec = StreamSpec.compound(primes)
         count = sum(1 for p in range(1, p_max + 1) if math.gcd(p, spec.modulus) == 1)
         stream = _compound_states(spec, count, 0)
         residual = compound_identity_residual(sides, spec.primes, stream.n, stream.u)

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from filament_prng import prng
+from filament_prng import prng, stattest
 from filament_prng.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from filament_prng.prng import StreamSpec, eicg_stream
 from filament_prng.serialize import f64le_bytes, format_float, table_csv, table_json
@@ -126,6 +126,7 @@ def test_bad_subcommand_usage_exit(capsys):
         "generate --kind vfe -q 0",
         "polygon -q 0",
         "polygon -q 3 -p -1",
+        "polygon -M 3 -q 2147483647",
         "generate --kind eicg-pow2 --omega -1 -n 2",
         "generate --kind eicg-pow2 -q 100 -n 2",
         "generate --kind eicg-pow2 --omega 6 -q 100 -n 2",
@@ -153,6 +154,19 @@ def test_invariant_failure_exits_3_without_traceback(capsys, monkeypatch):
     assert code == EXIT_VERIFY
     assert out == ""
     assert err == "error: circle-product identity violated at p=1 for primes (5, 7)\n"
+
+
+def test_randu_invariant_failure_exits_3_without_traceback(capsys, monkeypatch):
+    def broken(spec, count, start=0):
+        stream = prng.lcg_stream(spec, count, start)
+        stream.x[50] += 1
+        return stream
+
+    monkeypatch.setattr(stattest, "lcg_stream", broken)
+    code, out, err = run(capsys, "stats", "randu-planes", "-n", "100")
+    assert code == EXIT_VERIFY
+    assert out == ""
+    assert err == "error: RANDU three-term recurrence violated\n"
 
 
 def test_polygon_triangle(capsys):

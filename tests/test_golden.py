@@ -118,6 +118,18 @@ GOLDEN = {
         "f791109d26fa5b94966199709704b15e619cf14d4fb002153a9025bac210208f",
     "polygon -M 5 -q 998 -p 7":
         "6db62f83fc185919e95d12ca9d16e7428547f2143afd8cc9b44ad07506aa83b7",
+    # The exact star discrepancy at k = 1, 2 and 3: EICG clouds up to
+    # N = 4093, and LCG clouds of period 64 and 16 whose coordinates tie.
+    "stats serial --kind eicg -q 1009 -k 1":
+        "704a86480d17fd5fd8ca16109538e482a06f441400479ae1a845e2492427f102",
+    "stats serial --kind eicg -q 4093 -a 17 -b 5 -k 2 --lags 0,1234":
+        "f58a24095f58cd2a73bbb68b0f72a2c70b03c30f401fd679aec59ca59ccdf313",
+    "stats serial --kind eicg -q 401 -a 17 -b 5 -k 3 --lags 0,100,250":
+        "58d3ce90c3d3fc0710104d4dccb872fd772dd6dff8757a73f7debd32a07cc64b",
+    "stats serial --kind lcg -a 5 -b 1 -q 64 -n 300 -k 3":
+        "848353b1b5dfb4325a1a161fd81627c3ab20f4f37b3bc7f642deb4daf79ecc63",
+    "stats serial --kind lcg -a 5 -b 1 -q 16 -n 200 -k 2 --lags 0,3":
+        "48db7bbbd44228bd28a22656966eefd15f7bbeb3023eb662250c391516e18021",
 }
 
 

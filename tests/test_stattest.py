@@ -90,14 +90,23 @@ def test_star_matches_oracle_random_sets():
         assert star_discrepancy(cloud_from(pts)) == star_discrepancy_oracle(pts)
 
 
-def test_star_matches_oracle_with_duplicates():
+@pytest.mark.parametrize("levels", [None, 1, 2, 3, 5, 8, 11])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_star_matches_oracle_with_duplicates(k, levels):
     rng = np.random.default_rng(7)
-    base = rng.random((20, 2))
-    pts = np.vstack([base, base[:7], base[3:5]])
-    assert star_discrepancy(cloud_from(pts)) == star_discrepancy_oracle(pts)
+    if levels is None:  # repeated rows of a random cloud
+        base = rng.random((20, k))
+        pts = np.vstack([base, base[:7], base[3:5]])
+    else:  # a grid cloud: coordinates tie on every axis
+        pts = rng.integers(0, levels, (int(rng.integers(1, 61)), k)) / levels
+    expected = star_discrepancy_oracle(pts)
+    if k < 3:
+        assert star_discrepancy(cloud_from(pts)) == expected
+    else:  # the oracle multiplies the corner coordinates in another order
+        assert star_discrepancy(cloud_from(pts)) == pytest.approx(expected, abs=1e-12)
 
 
-def test_star_3d_matches_oracle():
+def test_star_k3_matches_oracle():
     rng = np.random.default_rng(99)
     for n in (5, 17, 40):
         pts = rng.random((n, 3))
@@ -210,6 +219,12 @@ def test_randu_single_triple():
 def test_randu_labels_within_range():
     labels = randu_plane_labels(20_000)
     assert labels <= set(range(-5, 10))
+    xs = [1]  # the recurrence in Python integers, seed 1
+    for _ in range(20_000 - 1):
+        xs.append(65539 * xs[-1] % 2**31)
+    assert labels == {
+        (x2 - 6 * x1 + 9 * x0) // 2**31 for x0, x1, x2 in zip(xs, xs[1:], xs[2:])
+    }
     assert randu_plane_count(20_000) == len(labels)
 
 
