@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -158,13 +157,13 @@ def build_polygon(config: PolygonConfig) -> np.ndarray:
             f"polygon limited to {MAX_POLYGON_CORNERS} corners (2**20); "
             f"M={config.sides}, q={config.time.q} has {config.corner_count}"
         )
-    tangents = _tangent_rows(config)[1 : config.corner_count + 1]
+    tangents = _tangent_rows(config, np.eye(3))[1 : config.corner_count + 1]
     verts = np.zeros_like(tangents)
     verts[1:] = np.cumsum(config.side_length * tangents[:-1], axis=0)
     return verts
 
 
-def _tangent_rows_from(config: PolygonConfig, initial: np.ndarray) -> np.ndarray:
+def _tangent_rows(config: PolygonConfig, initial: np.ndarray) -> np.ndarray:
     """Tangent rows through one period: row i is the tangent before corner i,
     for i = 0..K+1 (the last entry wraps one corner past the period)."""
     rots = _config_rotations(config)
@@ -176,13 +175,6 @@ def _tangent_rows_from(config: PolygonConfig, initial: np.ndarray) -> np.ndarray
         rows[i + 1] = frame[0]
     frame = rots[0] @ frame  # phases repeat with period K
     rows[len(rots) + 1] = frame[0]
-    return rows
-
-
-@lru_cache(maxsize=512)
-def _tangent_rows(config: PolygonConfig) -> np.ndarray:
-    rows = _tangent_rows_from(config, np.eye(3))
-    rows.flags.writeable = False
     return rows
 
 
@@ -198,10 +190,8 @@ def corner_products(
     before m with the one at m and so starts at row m - 1, wrapping m = 0
     around the period.
     """
-    if initial is None:
-        rows = _tangent_rows(config)
-    else:
-        rows = _tangent_rows_from(config, np.asarray(initial, dtype=float))
+    initial = np.eye(3) if initial is None else np.asarray(initial, dtype=float)
+    rows = _tangent_rows(config, initial)
     count = config.corner_count
     first = np.arange(count)
     if config.time.q % 4 == 2:

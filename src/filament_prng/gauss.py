@@ -13,20 +13,13 @@ import math
 
 import numpy as np
 
-from .errors import EvenModulus, NotCoprime, RangeError, WrongParityClass
-from .modular import MAX_MODULUS, factor_pow2, jacobi, mod_inverse
+from .errors import EvenModulus, NotCoprime, WrongParityClass
+from .modular import _check_modulus, factor_pow2, jacobi, mod_inverse
 
 TWO_PI = 2.0 * math.pi
 
 # i**k for k mod 4, kept exact on the unit circle.
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
-
-
-def _check_summation_modulus(c: int) -> None:
-    if c < 1:
-        raise RangeError(f"modulus must be positive, got {c}")
-    if c > MAX_MODULUS:
-        raise RangeError(f"modulus {c} exceeds supported bound 2**31")
 
 
 def gauss_direct(a: int, b: int, c: int) -> complex:
@@ -36,7 +29,7 @@ def gauss_direct(a: int, b: int, c: int) -> complex:
     rounding, and numpy's pairwise summation keeps the accumulated error
     orders of magnitude below 1e-9 * sqrt(c) for c up to 1e4.
     """
-    _check_summation_modulus(c)
+    _check_modulus(c)
     l = np.arange(c, dtype=np.int64)
     k = (((a % c) * (l * l % c)) % c + (b % c) * l) % c
     return complex(np.exp((2j * np.pi / c) * k).sum())
@@ -49,7 +42,7 @@ def gauss_direct_row(a: int, c: int) -> np.ndarray:
     w_l = exp(2 pi i a l^2 / c), the row is c * ifft(w).  Only the
     association order of the accumulation differs from the scalar path.
     """
-    _check_summation_modulus(c)
+    _check_modulus(c)
     l = np.arange(c, dtype=np.int64)
     k = (a % c) * (l * l % c) % c
     w = np.exp((2j * np.pi / c) * k)
@@ -62,7 +55,7 @@ def gauss_magnitude(p: int, m: int | np.ndarray, q: int) -> float | np.ndarray:
 
     sqrt(q) for odd q; sqrt(2q) when q is even and q/2 = m mod 2; else 0.
     """
-    _check_summation_modulus(q)
+    _check_modulus(q)
     if math.gcd(p, q) != 1:
         raise NotCoprime(f"p={p} and q={q} are not coprime")
     m = np.asarray(m, dtype=np.int64)
@@ -169,7 +162,7 @@ def theta_sequence(p: int, q: int) -> np.ndarray:
     Each phase is taken with math.atan2: np.arctan2 differs from it in the
     last bit for some sums, which would change the polygon bytes.
     """
-    _check_summation_modulus(q)
+    _check_modulus(q)
     if math.gcd(p, q) != 1:
         raise NotCoprime(f"p={p} and q={q} are not coprime")
     row = gauss_direct_row(-p, q)[active_indices(q)]

@@ -142,18 +142,31 @@ def _stream(n: Sequence[int], x: Sequence[int], modulus: int) -> Stream:
     return Stream(np.asarray(n, dtype=np.int64), np.asarray(x, dtype=np.int64), modulus)
 
 
+def _indices(start: int, count: int) -> np.ndarray:
+    """The int64 stream indices start, ..., start + count - 1, refused before
+    any work unless the first and the last fit an int64 exactly."""
+    if start + max(count, 1) > 2**63:
+        raise RangeError(
+            f"stream indices from {start} for {count} samples exceed the int64 bound 2**63 - 1"
+        )
+    return np.arange(start, start + count, dtype=np.int64)
+
+
 def lcg_stream(spec: StreamSpec, count: int, start: int = 0) -> Stream:
     """x_{n+1} = a x_n + b mod q from x0, normalized to u_n = x_n / q."""
     _expect(spec, StreamKind.LCG)
+    indices = _indices(start, count)
     q, a, b = spec.q, spec.a, spec.b
     x = spec.x0 % q
     for _ in range(start):
         x = (a * x + b) % q
-    xs = []
-    for _ in range(count):
-        xs.append(x)
-        x = (a * x + b) % q
-    return _stream(np.arange(start, start + count), xs, q)
+
+    def states(x: int):
+        while True:
+            yield x
+            x = (a * x + b) % q
+
+    return Stream(indices, np.fromiter(states(x), np.int64, len(indices)), q)
 
 
 def eicg_stream(spec: StreamSpec, count: int, start: int = 0) -> Stream:
@@ -163,12 +176,13 @@ def eicg_stream(spec: StreamSpec, count: int, start: int = 0) -> Stream:
     visits every residue of Z_q exactly once.
     """
     _expect(spec, StreamKind.EICG)
+    indices = _indices(start, count)
     q, a, b = spec.q, spec.a, spec.b
     xs = []
     for n in range(start, start + count):
         v = (a * n + b) % q
         xs.append(pow(v, q - 2, q) if v else 0)
-    return _stream(np.arange(start, start + count), xs, q)
+    return _stream(indices, xs, q)
 
 
 def eicg_pow2_stream(spec: StreamSpec, count: int, start: int = 0) -> Stream:
@@ -178,9 +192,10 @@ def eicg_pow2_stream(spec: StreamSpec, count: int, start: int = 0) -> Stream:
     2**(omega-1), and one period visits exactly the odd residues.
     """
     _expect(spec, StreamKind.EICG_POW2)
+    indices = _indices(start, count)
     q, a, b = spec.q, spec.a, spec.b
     xs = [pow((a * n + b) % q, -1, q) for n in range(start, start + count)]
-    return _stream(np.arange(start, start + count), xs, q)
+    return _stream(indices, xs, q)
 
 
 def vfe_unit_samples(q: int) -> Stream:
@@ -217,6 +232,7 @@ def compound_identity_residual(
 def _compound_states(spec: StreamSpec, count: int, start: int) -> Stream:
     """The compound states x_p, assembled exactly over prod(q_j) by the
     Chinese remainder theorem, unchecked."""
+    _indices(start, count)  # refused before the O(start) walk below
     modulus = spec.modulus
     weights = [modulus // qj for qj in spec.primes]
     ns: list[int] = []

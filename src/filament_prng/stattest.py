@@ -195,7 +195,7 @@ def randu_plane_labels(sample_count: int) -> set[int]:
     combo = x[2:] - 6 * x[1:-1] + 9 * x[:-2]
     if np.any(combo % spec.q):
         raise InvariantViolation("RANDU three-term recurrence violated")
-    return set((combo // spec.q).tolist())
+    return set(np.unique(combo // spec.q).tolist())
 
 
 def randu_plane_count(sample_count: int) -> int:

@@ -11,12 +11,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BadParameters
-from .filament import PolygonConfig, RationalTime, closure_residual, corner_products, z_qm_closed
+from .errors import BadParameters, TooLarge
+from .filament import (
+    MAX_POLYGON_CORNERS,
+    PolygonConfig,
+    RationalTime,
+    closure_residual,
+    corner_products,
+    z_qm_closed,
+)
 from .gauss import (
     active_indices,
     closed_0mod4_row,
@@ -104,17 +111,39 @@ def verify_gauss(q_max: int = 300) -> list[SuiteResult]:
     ]
 
 
-def _theorem1_error_for_q(sides: int, q: int) -> tuple[float, int]:
-    worst = 0.0
-    cases = 0
-    for p in _sweep_residues(q):
-        config = PolygonConfig(sides, RationalTime(p, q))
-        triples, scalars = corner_products(config)
-        closed = z_qm_closed(sides, q, p, np.arange(config.corner_count))
-        err = np.hypot(triples - closed.real, scalars - closed.imag)
-        worst = max(worst, float(np.max(err)))
-        cases += config.corner_count
-    return worst, cases
+def _polygon_sweep(
+    name: str,
+    sides_range: tuple[int, int],
+    q_max: int,
+    tolerance: float,
+    error: Callable[[PolygonConfig], tuple[float, int]],
+) -> SuiteResult:
+    """Worst (error, cases) of `error` over every valid (sides, q, p).
+
+    Refused before any work when a polygon of the sweep could have more
+    than MAX_POLYGON_CORNERS corners, the budget build_polygon keeps.
+    """
+    sides_lo, sides_hi = sides_range
+    if sides_hi * q_max > MAX_POLYGON_CORNERS:
+        raise TooLarge(
+            f"{name} sweep limited to {MAX_POLYGON_CORNERS} corners per polygon "
+            f"(2**20); M <= {sides_hi} and q <= {q_max} give up to {sides_hi * q_max}"
+        )
+    rows = [
+        error(PolygonConfig(sides, RationalTime(p, q)))
+        for sides in range(sides_lo, sides_hi + 1)
+        for q in range(1, q_max + 1)
+        for p in _sweep_residues(q)
+    ]
+    return _suite(name, rows, tolerance)
+
+
+def _theorem1_error(config: PolygonConfig) -> tuple[float, int]:
+    triples, scalars = corner_products(config)
+    index = np.arange(config.corner_count)
+    closed = z_qm_closed(config.sides, config.time.q, config.time.p, index)
+    err = np.hypot(triples - closed.real, scalars - closed.imag)
+    return float(np.max(err)), config.corner_count
 
 
 def verify_theorem1(
@@ -122,22 +151,7 @@ def verify_theorem1(
 ) -> SuiteResult:
     """Geometric triple/scalar products from frame transport against the
     closed form, for every valid (sides, q, p, m)."""
-    rows = [
-        _theorem1_error_for_q(sides, q)
-        for sides in range(sides_range[0], sides_range[1] + 1)
-        for q in range(1, q_max + 1)
-    ]
-    return _suite("theorem1", rows, 1e-8)
-
-
-def _closure_error_for_q(sides: int, q: int) -> tuple[float, int]:
-    worst = 0.0
-    cases = 0
-    for p in _sweep_residues(q):
-        config = PolygonConfig(sides, RationalTime(p, q))
-        worst = max(worst, closure_residual(config))
-        cases += 1
-    return worst, cases
+    return _polygon_sweep("theorem1", sides_range, q_max, 1e-8, _theorem1_error)
 
 
 def verify_closure(
@@ -145,12 +159,9 @@ def verify_closure(
 ) -> SuiteResult:
     """Frobenius residual of the full-period rotation product against the
     identity, for every valid (sides, q, p)."""
-    rows = [
-        _closure_error_for_q(sides, q)
-        for sides in range(sides_range[0], sides_range[1] + 1)
-        for q in range(1, q_max + 1)
-    ]
-    return _suite("closure", rows, 1e-7)
+    return _polygon_sweep(
+        "closure", sides_range, q_max, 1e-7, lambda config: (closure_residual(config), 1)
+    )
 
 
 def verify_compound(

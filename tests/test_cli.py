@@ -1,12 +1,16 @@
+import io
 import json
 import math
 import struct
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from filament_prng import prng, stattest
-from filament_prng.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from filament_prng.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from filament_prng.prng import StreamSpec, eicg_stream
 from filament_prng.serialize import f64le_bytes, format_float, table_csv, table_json
 from filament_prng.verify import SuiteResult
@@ -130,6 +134,16 @@ def test_bad_subcommand_usage_exit(capsys):
         "generate --kind eicg-pow2 --omega -1 -n 2",
         "generate --kind eicg-pow2 -q 100 -n 2",
         "generate --kind eicg-pow2 --omega 6 -q 100 -n 2",
+        # stream indices beyond int64, refused before any work
+        "generate --kind eicg -q 101 -n 2 --start 9223372036854775807",
+        "generate --kind eicg-pow2 --omega 6 -n 2 --start 9223372036854775807",
+        "generate --kind eicg -q 101 -n 2 --start 100000000000000000000",
+        "generate --kind eicg-pow2 --omega 6 -n 2 --start 100000000000000000000",
+        "generate --kind lcg -a 3 -b 1 -q 101 --start 9223372036854775808 -n 1",
+        "generate --kind compound --primes 5,7 --start 9223372036854775808 -n 1",
+        # polygon sweeps beyond the corner budget, refused before any work
+        "verify closure -M 1000000000 --qmax 6",
+        "verify theorem1 -M 3..1000000000 --qmax 6",
         # sweeps whose parameters leave no case to check
         "verify gauss --qmax 0",
         "verify theorem1 --qmax 0",
@@ -298,3 +312,109 @@ def test_table_json_is_json_dumps_layout():
 def test_f64le_bytes_layout():
     payload = f64le_bytes([0.5, 0.25])
     assert payload == struct.pack("<2d", 0.5, 0.25)
+
+
+# Pools of the argv property test: (valid values, malformed or out-of-range
+# values) per option.
+MODULI = ([7, 101], [-1, 0, 1, 4, 64, 2**31, 2**31 + 1, 10**20])
+COUNTS = ([0, 1, 5, 256], [-1, 2**64, 10**20])
+STARTS = ([0, 3], [-1, 2**63 - 1, 2**63, 10**20])
+SIDES = ([3, 5], [-1, 2, 10**9])
+A_VALUES = ([2, 6], [-1, 0, 1, 10**20])
+B_VALUES = ([1, 3], [-1, 0, 2, 10**20])
+OMEGAS = ([5, 6], [-1, 0, 4, 32, 80])
+PRIME_LISTS = (["5,7", "11,13,17"], [",", "x", "4,7", "5,5", "5,7,11,13,17,19,23,29,31,37,41"])
+SIDE_RANGES = (["3", "3..4"], ["2..3", "4..3", "1000000000", "3..1000000000", "x"])
+LAGS = (["0,1", "0,2,5"], ["1,0", "0", "0,0", "x"])
+KS = ([1, 2, 3], [-1, 0, 4, 200])
+BINS = ([2, 20], [-3, 1, 200])
+QMAX = ([1, 6, 8], [-5, 0])
+PMAX = ([10, 50], [-1, 0])
+# Options each stream kind needs to run.
+NEEDED = {
+    "vfe": {"-q"},
+    "eicg": {"-q"},
+    "eicg-pow2": {"--omega"},
+    "lcg": {"-a", "-b", "-q", "-n"},
+    "compound": {"--primes", "-n"},
+}
+
+
+@st.composite
+def argvs(draw):
+    """One argv for any subcommand and stream kind, drawn from the pools.
+
+    In about half the examples every option takes a valid value and the
+    options a command needs are present; in the rest any option may be
+    missing or take any pooled value.
+
+    Left out because their cost is known to be unbounded: an --start below
+    2**63 but far from 0 for lcg or compound (both step through every
+    earlier index), the vfe stream at q = 2**31 (it builds the full period
+    whatever the window), the eicg-pow2 stream at q = 2**31 (a full period
+    of 2**30 samples when -n is absent), a prime EICG modulus near 2**31
+    without -n, an -n too large to hold in memory, and a -k so large that
+    listing its default lags exhausts memory.
+    """
+    valid = draw(st.booleans())
+
+    def option(flag, pool, needed=False, always=False, exclude=()):
+        """[flag, value], or [] for an option left out.  An option the
+        command needs is given in every valid example, an `always` option
+        in every example."""
+        if not always and not (valid and needed) and draw(st.booleans()):
+            return []
+        values = pool[0] if valid else [v for v in pool[0] + pool[1] if v not in exclude]
+        return [flag, str(draw(st.sampled_from(values)))]
+
+    command = draw(st.sampled_from(["generate", "serial", "chi2", "randu-planes", "verify", "polygon"]))
+    if command == "verify":
+        suite = draw(st.sampled_from(["gauss", "theorem1", "closure", "compound", "all"]))
+        return (
+            ["verify", suite]
+            + option("--qmax", QMAX, always=True)
+            + option("--pmax", PMAX, always=True)
+            + option("-M", SIDE_RANGES)
+            + option("--primes", PRIME_LISTS)
+        )
+    if command == "polygon":
+        return (
+            ["polygon"]
+            + option("-M", SIDES)
+            + option("-q", MODULI, needed=True)
+            + option("-p", ([1], [-1, 0, 2, 3]))
+            + option("--format", (["csv", "json"], []))
+        )
+    if command == "randu-planes":
+        return ["stats", "randu-planes"] + option("-n", ([3, 256], COUNTS[0] + COUNTS[1]), always=True)
+    kind = draw(st.sampled_from(sorted(NEEDED)))
+    needed = NEEDED[kind]
+    unbounded_q = [2**31] if kind in ("vfe", "eicg-pow2") else []
+    unbounded_start = [2**63 - 1] if kind in ("lcg", "compound") else []
+    argv = [command] if command == "generate" else ["stats", command]
+    argv += (
+        ["--kind", kind]
+        + option("-M", SIDES)
+        + option("-q", MODULI, "-q" in needed, exclude=unbounded_q)
+        + option("-a", A_VALUES, "-a" in needed)
+        + option("-b", B_VALUES, "-b" in needed)
+        + option("--x0", ([0, 5], [-1, 10**20]))
+        + option("--omega", OMEGAS, "--omega" in needed)
+        + option("--primes", PRIME_LISTS, "--primes" in needed)
+        + option("-n", COUNTS, "-n" in needed)
+        + option("--start", STARTS, exclude=unbounded_start)
+    )
+    if command == "generate":
+        return argv + option("--format", (["csv", "json", "f64le"], []))
+    if command == "serial":
+        return argv + option("-k", KS) + option("--lags", LAGS)
+    return argv + option("--bins", BINS)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(argvs())
+def test_every_argv_exits_with_a_code_and_no_traceback(argv):
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")  # f64le writes bytes
+    with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_IO, EXIT_USAGE, EXIT_VERIFY)

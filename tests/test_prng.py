@@ -148,6 +148,15 @@ def test_eicg_restart():
     )
 
 
+def test_eicg_index_at_int64_bound_is_exact():
+    spec = StreamSpec.eicg(101)
+    last = eicg_stream(spec, 1, 2**63 - 1)
+    assert last.n[0] == 2**63 - 1
+    assert last.x[0] == pow((4 * (2**63 - 1)) % 101, 99, 101)
+    with pytest.raises(RangeError):
+        eicg_stream(spec, 2, 2**63 - 1)
+
+
 def test_eicg_pow2_examples():
     spec = StreamSpec.eicg_pow2(5, a=2, b=1)
     samples = eicg_pow2_stream(spec, 16)
