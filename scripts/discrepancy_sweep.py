@@ -39,14 +39,13 @@ def main() -> int:
     args = parser.parse_args()
 
     primes = [int(tok) for tok in args.primes.split(",")]
-    lags = tuple(range(args.k))
     print(
         f"{'p':>6}  {'D*':>10}  {'2^k D*':>10}  {'bound':>10}  "
         f"{'sqrt(loglog p)/sqrt(p)':>22}"
     )
     for p in primes:
         samples = eicg_stream(StreamSpec.eicg(p, args.a, args.b), p)
-        rep = serial_test(samples.u, args.k, lags)
+        rep = serial_test(samples.u, args.k)
         bound = rep.theorem2_upper if rep.theorem2_upper is not None else float("nan")
         print(
             f"{p:>6}  {rep.star:>10.6f}  {rep.extreme_upper:>10.6f}  "

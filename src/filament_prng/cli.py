@@ -208,7 +208,7 @@ def cmd_generate(args) -> int:
         columns = {"n": stream.n, "x": stream.x, "u": stream.u}
         if args.kind == "compound":
             del columns["x"]  # compound states live in the product ring
-        floats = stream.u
+        floats = columns["u"]
     if args.format == "csv":
         payload: str | bytes = table_csv(columns)
     elif args.format == "json":
@@ -239,8 +239,7 @@ def cmd_verify(args) -> int:
 
 def cmd_serial(args) -> int:
     stream = _unit_stream(args)
-    lags = args.lags if args.lags is not None else tuple(range(args.k))
-    report = serial_test(stream.u, args.k, lags)
+    report = serial_test(stream.u, args.k, args.lags)
     _emit(report_json(report.as_dict()), args.output_path)
     return EXIT_OK
 

@@ -1,11 +1,12 @@
-"""Exact integer arithmetic: inverses, Jacobi symbols, totients.
-
-All operations are pure functions on plain ints.
+"""Exact integer arithmetic: modular powers of int64 arrays (`pow_row`, the
+one inversion routine of the streams), inverses, Jacobi symbols, totients.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .errors import EvenModulus, NotCoprime, NotInvertible, RangeError
 
@@ -22,6 +23,24 @@ def _check_modulus(n: int) -> None:
         raise RangeError(f"modulus {n} exceeds supported bound 2**31")
 
 
+def pow_row(v: np.ndarray, e: int, n: int) -> np.ndarray:
+    """v**e mod n over an int64 array by square-and-multiply, e >= 0.  Every
+    operand is reduced below n <= MAX_MODULUS, so products stay below 2**62."""
+    _check_modulus(n)
+    if e < 0:
+        raise RangeError(f"exponent must be nonnegative, got {e}")
+    base = np.asarray(v, dtype=np.int64) % n
+    result = np.full(base.shape, 1 % n, dtype=np.int64)
+    while e:
+        if e & 1:
+            result *= base
+            result %= n
+        base *= base
+        base %= n
+        e >>= 1
+    return result
+
+
 def mod_inverse(a: int, n: int) -> int:
     """Inverse of a modulo n by the extended Euclidean algorithm.
 
@@ -29,11 +48,8 @@ def mod_inverse(a: int, n: int) -> int:
     holds vacuously.
     """
     _check_modulus(n)
-    if n == 1:
-        return 0
-    a %= n
     if math.gcd(a, n) != 1:
-        raise NotInvertible(f"{a} has no inverse mod {n}")
+        raise NotInvertible(f"{a % n} has no inverse mod {n}")
     return pow(a, -1, n)
 
 

@@ -11,6 +11,7 @@ bit-identically.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -18,9 +19,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadParameters, BadPrimes, CompositeModulus, InvariantViolation, RangeError
+from .errors import BadParameters, BadPrimes, CompositeModulus, InvariantViolation, RangeError, TooLarge
 from .filament import circle_row, corner_angle
-from .modular import MAX_MODULUS, coprime_residues, is_probable_prime, mod_inverse, phi_p
+from .modular import MAX_MODULUS, coprime_residues, is_probable_prime, phi_p, pow_row
+
+# Samples one stream call may return; every stream holds its window in
+# int64 arrays, so the budget bounds memory and time before any work.
+MAX_STREAM_SAMPLES = 2**24
 
 
 class StreamKind(Enum):
@@ -138,17 +143,20 @@ def _expect(spec: StreamSpec, kind: StreamKind) -> None:
         raise BadParameters(f"expected a {kind.value} spec, got {spec.kind.value}")
 
 
-def _stream(n: Sequence[int], x: Sequence[int], modulus: int) -> Stream:
-    return Stream(np.asarray(n, dtype=np.int64), np.asarray(x, dtype=np.int64), modulus)
+def _check_budget(count: int) -> None:
+    if count > MAX_STREAM_SAMPLES:
+        raise TooLarge(f"streams limited to {MAX_STREAM_SAMPLES} samples (2**24), got {count}")
 
 
 def _indices(start: int, count: int) -> np.ndarray:
     """The int64 stream indices start, ..., start + count - 1, refused before
-    any work unless the first and the last fit an int64 exactly."""
+    any work unless the first and the last fit an int64 exactly and the
+    count is within MAX_STREAM_SAMPLES."""
     if start + max(count, 1) > 2**63:
         raise RangeError(
             f"stream indices from {start} for {count} samples exceed the int64 bound 2**63 - 1"
         )
+    _check_budget(count)
     return np.arange(start, start + count, dtype=np.int64)
 
 
@@ -169,20 +177,22 @@ def lcg_stream(spec: StreamSpec, count: int, start: int = 0) -> Stream:
     return Stream(indices, np.fromiter(states(x), np.int64, len(indices)), q)
 
 
+def _inversive_stream(spec: StreamSpec, count: int, start: int, exponent: int) -> Stream:
+    """x_n = (a n + b)^exponent mod q, 0 -> 0; n is reduced mod q first, so a n fits an int64."""
+    indices = _indices(start, count)
+    q = spec.q
+    v = (spec.a % q * (indices % q) + spec.b % q) % q
+    return Stream(indices, pow_row(v, exponent, q) * (v != 0), q)
+
+
 def eicg_stream(spec: StreamSpec, count: int, start: int = 0) -> Stream:
     """Explicit inversive stream x_n = (a n + b)^-1 mod prime q, 0 -> 0.
 
-    Inverses follow the exponentiation route x^(q-2) mod q; one full period
-    visits every residue of Z_q exactly once.
+    Inverses follow Fermat's route v^(q-2) mod q; one full period visits
+    every residue of Z_q exactly once.
     """
     _expect(spec, StreamKind.EICG)
-    indices = _indices(start, count)
-    q, a, b = spec.q, spec.a, spec.b
-    xs = []
-    for n in range(start, start + count):
-        v = (a * n + b) % q
-        xs.append(pow(v, q - 2, q) if v else 0)
-    return _stream(indices, xs, q)
+    return _inversive_stream(spec, count, start, spec.q - 2)
 
 
 def eicg_pow2_stream(spec: StreamSpec, count: int, start: int = 0) -> Stream:
@@ -192,10 +202,7 @@ def eicg_pow2_stream(spec: StreamSpec, count: int, start: int = 0) -> Stream:
     2**(omega-1), and one period visits exactly the odd residues.
     """
     _expect(spec, StreamKind.EICG_POW2)
-    indices = _indices(start, count)
-    q, a, b = spec.q, spec.a, spec.b
-    xs = [pow((a * n + b) % q, -1, q) for n in range(start, start + count)]
-    return _stream(indices, xs, q)
+    return _inversive_stream(spec, count, start, spec.q // 2 - 1)  # Euler: phi(q) = q/2
 
 
 def vfe_unit_samples(q: int) -> Stream:
@@ -203,11 +210,13 @@ def vfe_unit_samples(q: int) -> Stream:
     residue p coprime to q, ascending p.
 
     For prime q these coincide with eicg_stream(q, a=4, b=0) at indices p.
+    The whole period is built, so q - 1 is held to MAX_STREAM_SAMPLES.
     """
+    _check_budget(q - 1)
     residues = coprime_residues(q)
-    phis = [phi_p(p, q)[0] for p in residues]
+    phis = np.fromiter((phi_p(p, q)[0] for p in residues), np.int64, len(residues))
     modulus = phi_p(residues[0], q)[1] if residues else q
-    return _stream(residues, phis, modulus)
+    return Stream(np.array(residues, dtype=np.int64), phis, modulus)
 
 
 def compound_identity_residual(
@@ -219,38 +228,25 @@ def compound_identity_residual(
     z_j(p) is the circle point of phase phi_j(p) / q_j, the quantity index 0
     of the closed form at time p / q_j.
     """
-    ps = np.asarray(ps, dtype=np.int64).tolist()
+    ps = np.asarray(ps, dtype=np.int64)
     lhs = np.ones(len(ps), dtype=complex)
     for qj in primes:
         angle = corner_angle(sides, qj)
-        phases = np.array([phi_p(p, qj)[0] for p in ps], dtype=np.int64)
+        phases = pow_row(ps % qj * 4, qj - 2, qj)
         z = circle_row(angle, phases / qj)
         lhs *= (angle.cos_rho**2 + 1j * z) / angle.sin_rho**2
     return np.abs(lhs - np.exp(2j * math.pi * np.asarray(u, dtype=float)))
 
 
 def _compound_states(spec: StreamSpec, count: int, start: int) -> Stream:
-    """The compound states x_p, assembled exactly over prod(q_j) by the
-    Chinese remainder theorem, unchecked."""
+    """The compound states x_p, assembled exactly over prod(q_j) <= 2**31 by
+    the Chinese remainder theorem (a sum of terms below it), unchecked."""
     _indices(start, count)  # refused before the O(start) walk below
     modulus = spec.modulus
-    weights = [modulus // qj for qj in spec.primes]
-    ns: list[int] = []
-    xs: list[int] = []
-    p = 0
-    to_skip = start
-    while len(ns) < count:
-        p += 1
-        if math.gcd(p, modulus) != 1:
-            continue
-        if to_skip:
-            to_skip -= 1
-            continue
-        ns.append(p)
-        xs.append(
-            sum(mod_inverse(4 * p, qj) * w for qj, w in zip(spec.primes, weights)) % modulus
-        )
-    return _stream(ns, xs, modulus)
+    coprime = (p for p in itertools.count(1) if math.gcd(p, modulus) == 1)
+    ns = np.fromiter(itertools.islice(coprime, start, start + count), np.int64, count)
+    x = sum(pow_row(ns % qj * 4, qj - 2, qj) * (modulus // qj) for qj in spec.primes)
+    return Stream(ns, x % modulus, modulus)
 
 
 def compound_stream(sides: int, primes: Sequence[int], count: int, start: int = 0) -> Stream:

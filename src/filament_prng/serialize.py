@@ -48,7 +48,7 @@ def table_json(columns: Mapping[str, np.ndarray]) -> str:
 
 
 def f64le_bytes(values: np.ndarray | Sequence[float]) -> bytes:
-    return np.asarray(values).astype("<f8").tobytes()
+    return np.asarray(values, dtype="<f8").tobytes()
 
 
 def report_json(payload: dict) -> str:

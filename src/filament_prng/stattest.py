@@ -93,11 +93,7 @@ def star_discrepancy(cloud: TupleCloud) -> float:
     equal) are examined; this scans both.  Exact for k <= 3 and N <= 4096,
     and refused before any work when the box count exceeds MAX_EXACT_BOXES.
     """
-    if cloud.k > MAX_EXACT_DIM or cloud.n > MAX_EXACT_POINTS:
-        raise TooLarge(
-            f"exact algorithm limited to k <= {MAX_EXACT_DIM}, "
-            f"N <= {MAX_EXACT_POINTS}; got k={cloud.k}, N={cloud.n}"
-        )
+    _check_exact(cloud.k, cloud.n)
     boxes = math.prod(len(np.unique(column)) + 1 for column in cloud.points.T)
     if boxes > MAX_EXACT_BOXES:
         raise TooLarge(
@@ -105,6 +101,14 @@ def star_discrepancy(cloud: TupleCloud) -> float:
             f"k={cloud.k}, N={cloud.n} needs {boxes}"
         )
     return _star_scan(cloud.points, cloud.n)
+
+
+def _check_exact(k: int, n: int) -> None:
+    if k > MAX_EXACT_DIM or n > MAX_EXACT_POINTS:
+        raise TooLarge(
+            f"exact algorithm limited to k <= {MAX_EXACT_DIM}, "
+            f"N <= {MAX_EXACT_POINTS}; got k={k}, N={n}"
+        )
 
 
 def _star_scan(points: np.ndarray, n: int) -> float:
@@ -163,11 +167,15 @@ def theorem3_lower(p: int, t: float) -> tuple[float, float]:
     return threshold, fraction
 
 
-def serial_test(samples: Sequence[float], k: int, lags: Sequence[int]) -> DiscrepancyReport:
+def serial_test(
+    samples: Sequence[float], k: int, lags: Sequence[int] | None = None
+) -> DiscrepancyReport:
     """Star discrepancy of the wraparound k-tuples with the enclosure
     [D*, 2^k D*]; the reference bounds are attached when the sample count
-    is prime (the full-period case they apply to)."""
-    cloud = make_tuples(samples, k, lags)
+    is prime (the full-period case they apply to).  The lags default to
+    0, 1, ..., k - 1; a cloud beyond the exact algorithm is refused first."""
+    _check_exact(k, len(samples))
+    cloud = make_tuples(samples, k, range(k) if lags is None else lags)
     star = star_discrepancy(cloud)
     upper = scale = None
     if 2 <= k < cloud.n and is_probable_prime(cloud.n):

@@ -33,7 +33,11 @@ from .gauss import (
     gauss_magnitude,
 )
 from .modular import coprime_residues
-from .prng import StreamSpec, _compound_states, compound_identity_residual
+from .prng import MAX_STREAM_SAMPLES, StreamSpec, _compound_states, compound_identity_residual
+
+# Work budget of one sweep, in units of one matrix or Gauss-sum term: an
+# upper bound computed from the parameters alone, before any work.
+MAX_SWEEP_CASES = 2**30
 
 
 @dataclass(frozen=True)
@@ -60,6 +64,14 @@ class SuiteResult:
 def _sweep_residues(q: int) -> list[int]:
     """Coprime p values used by the sweeps; q = 1 contributes p = 1."""
     return coprime_residues(q) or [1]
+
+
+def _check_sweep(name: str, work: int) -> None:
+    if work > MAX_SWEEP_CASES:
+        raise TooLarge(
+            f"{name} sweep limited to {MAX_SWEEP_CASES} (2**30) units of work; "
+            f"these parameters allow up to {work}"
+        )
 
 
 def _suite(name: str, rows: Sequence[tuple[float, int]], tolerance: float) -> SuiteResult:
@@ -103,7 +115,9 @@ def _gauss_errors_for_q(q: int) -> tuple[tuple[float, int], tuple[float, int]]:
 
 def verify_gauss(q_max: int = 300) -> list[SuiteResult]:
     """Magnitude law and closed forms against literal summation, for every
-    coprime (p, q) with q <= q_max and every index m."""
+    coprime (p, q) with q <= q_max and every index m; at most q_max**3
+    terms are summed."""
+    _check_sweep("gauss", max(q_max, 0) ** 3)
     rows = [_gauss_errors_for_q(q) for q in range(1, q_max + 1)]
     return [
         _suite("gauss-magnitude", [r[0] for r in rows], 1e-9),
@@ -121,7 +135,9 @@ def _polygon_sweep(
     """Worst (error, cases) of `error` over every valid (sides, q, p).
 
     Refused before any work when a polygon of the sweep could have more
-    than MAX_POLYGON_CORNERS corners, the budget build_polygon keeps.
+    than MAX_POLYGON_CORNERS corners, the budget build_polygon keeps, or
+    when the sweep's corners could exceed MAX_SWEEP_CASES: each sides value
+    and q contributes at most q polygons of sides * q corners.
     """
     sides_lo, sides_hi = sides_range
     if sides_hi * q_max > MAX_POLYGON_CORNERS:
@@ -129,6 +145,7 @@ def _polygon_sweep(
             f"{name} sweep limited to {MAX_POLYGON_CORNERS} corners per polygon "
             f"(2**20); M <= {sides_hi} and q <= {q_max} give up to {sides_hi * q_max}"
         )
+    _check_sweep(name, max(sides_hi - sides_lo + 1, 0) * sides_hi * max(q_max, 0) ** 3)
     rows = [
         error(PolygonConfig(sides, RationalTime(p, q)))
         for sides in range(sides_lo, sides_hi + 1)
@@ -174,6 +191,8 @@ def verify_compound(
     Each stream is built once without compound_stream's own check, and the
     identity is evaluated once over it to record the worst residual.
     """
+    if p_max > MAX_STREAM_SAMPLES:
+        raise TooLarge(f"compound sweep limited to p <= {MAX_STREAM_SAMPLES} (2**24), got {p_max}")
     rows = []
     for primes in prime_sets:
         spec = StreamSpec.compound(primes)

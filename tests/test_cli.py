@@ -144,6 +144,20 @@ def test_bad_subcommand_usage_exit(capsys):
         # polygon sweeps beyond the corner budget, refused before any work
         "verify closure -M 1000000000 --qmax 6",
         "verify theorem1 -M 3..1000000000 --qmax 6",
+        # beyond the stream sample budget, refused before any allocation
+        "generate --kind eicg -q 101 -n 1099511627776",
+        "generate --kind lcg -a 3 -b 1 -q 101 -n 1099511627776",
+        "generate --kind compound --primes 5,7 -n 1099511627776",
+        "generate --kind eicg -q 2147483647",
+        "generate --kind eicg-pow2 --omega 31",
+        "generate --kind vfe -q 2147483647 -n 1",
+        "stats randu-planes -n 1099511627776",
+        "verify compound --pmax 100000000",
+        # sweeps beyond the whole-sweep work budget, refused before any work
+        "verify gauss --qmax 100000",
+        "verify closure -M 3 --qmax 300000",
+        # a dimension beyond the exact scan, refused before its lags are listed
+        "stats serial -q 101 -k 5000000",
         # sweeps whose parameters leave no case to check
         "verify gauss --qmax 0",
         "verify theorem1 --qmax 0",
@@ -158,6 +172,7 @@ def test_usage_errors_exit_2_without_traceback(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert len(err) < 200
 
 
 def test_invariant_failure_exits_3_without_traceback(capsys, monkeypatch):
@@ -316,8 +331,8 @@ def test_f64le_bytes_layout():
 
 # Pools of the argv property test: (valid values, malformed or out-of-range
 # values) per option.
-MODULI = ([7, 101], [-1, 0, 1, 4, 64, 2**31, 2**31 + 1, 10**20])
-COUNTS = ([0, 1, 5, 256], [-1, 2**64, 10**20])
+MODULI = ([7, 101], [-1, 0, 1, 4, 64, 2**31 - 1, 2**31, 2**31 + 1, 10**20])
+COUNTS = ([0, 1, 5, 256], [-1, 2**40, 2**64, 10**20])
 STARTS = ([0, 3], [-1, 2**63 - 1, 2**63, 10**20])
 SIDES = ([3, 5], [-1, 2, 10**9])
 A_VALUES = ([2, 6], [-1, 0, 1, 10**20])
@@ -326,7 +341,7 @@ OMEGAS = ([5, 6], [-1, 0, 4, 32, 80])
 PRIME_LISTS = (["5,7", "11,13,17"], [",", "x", "4,7", "5,5", "5,7,11,13,17,19,23,29,31,37,41"])
 SIDE_RANGES = (["3", "3..4"], ["2..3", "4..3", "1000000000", "3..1000000000", "x"])
 LAGS = (["0,1", "0,2,5"], ["1,0", "0", "0,0", "x"])
-KS = ([1, 2, 3], [-1, 0, 4, 200])
+KS = ([1, 2, 3], [-1, 0, 4, 200, 10**9])
 BINS = ([2, 20], [-3, 1, 200])
 QMAX = ([1, 6, 8], [-5, 0])
 PMAX = ([10, 50], [-1, 0])
@@ -348,13 +363,9 @@ def argvs(draw):
     options a command needs are present; in the rest any option may be
     missing or take any pooled value.
 
-    Left out because their cost is known to be unbounded: an --start below
+    Left out because its cost is known to be unbounded: an --start below
     2**63 but far from 0 for lcg or compound (both step through every
-    earlier index), the vfe stream at q = 2**31 (it builds the full period
-    whatever the window), the eicg-pow2 stream at q = 2**31 (a full period
-    of 2**30 samples when -n is absent), a prime EICG modulus near 2**31
-    without -n, an -n too large to hold in memory, and a -k so large that
-    listing its default lags exhausts memory.
+    earlier index).
     """
     valid = draw(st.booleans())
 
@@ -389,13 +400,12 @@ def argvs(draw):
         return ["stats", "randu-planes"] + option("-n", ([3, 256], COUNTS[0] + COUNTS[1]), always=True)
     kind = draw(st.sampled_from(sorted(NEEDED)))
     needed = NEEDED[kind]
-    unbounded_q = [2**31] if kind in ("vfe", "eicg-pow2") else []
     unbounded_start = [2**63 - 1] if kind in ("lcg", "compound") else []
     argv = [command] if command == "generate" else ["stats", command]
     argv += (
         ["--kind", kind]
         + option("-M", SIDES)
-        + option("-q", MODULI, "-q" in needed, exclude=unbounded_q)
+        + option("-q", MODULI, "-q" in needed)
         + option("-a", A_VALUES, "-a" in needed)
         + option("-b", B_VALUES, "-b" in needed)
         + option("--x0", ([0, 5], [-1, 10**20]))

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from filament_prng.modular import (
     jacobi,
     mod_inverse,
     phi_p,
+    pow_row,
 )
 from filament_prng.prng import StreamSpec, eicg_stream
 from helpers import jacobi_by_factorization, sieve_primes, totient_by_count
@@ -59,6 +61,26 @@ def test_fermat_inverse_matches_mod_inverse_on_primes():
         xs = eicg_stream(StreamSpec.eicg(p, a=1, b=0), p).x.tolist()
         for a in range(1, p):
             assert xs[a] == mod_inverse(a, p)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 101, 2**31 - 1, 2**31])
+def test_pow_row_matches_pow(n):
+    # n - 1 squared is the largest product a reduced operand can make
+    residues = sorted({0, 1, 2, n // 2, n - 1, 12345 % n})
+    values = residues + [-1, n, 3 * n + 1, 2**62]  # reduced before any product
+    for e in sorted({0, 1, max(n - 2, 0), 2**30 - 1, 65537}):
+        row = pow_row(np.array(values, dtype=np.int64), e, n)
+        assert row.dtype == np.int64
+        assert row.tolist() == [pow(v, e, n) for v in values]
+
+
+def test_pow_row_refusals():
+    with pytest.raises(RangeError):
+        pow_row(np.arange(3), -1, 7)
+    with pytest.raises(RangeError):
+        pow_row(np.arange(3), 2, 2**31 + 1)
+    with pytest.raises(RangeError):
+        pow_row(np.arange(3), 2, 0)
 
 
 @pytest.mark.parametrize("a,n,expected", [(5, 1, 1), (2, 3, -1), (5, 9, 1)])

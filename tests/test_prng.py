@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from filament_prng.errors import BadParameters, BadPrimes, CompositeModulus, RangeError
+from filament_prng.errors import BadParameters, BadPrimes, CompositeModulus, RangeError, TooLarge
 from filament_prng.filament import circle_row, corner_angle
 from filament_prng.modular import euler_totient, mod_inverse
 from filament_prng.prng import (
+    MAX_STREAM_SAMPLES,
     Stream,
     StreamSpec,
     compound_stream,
@@ -118,7 +119,8 @@ def test_eicg_inverse_table_q5():
 
 
 def test_eicg_full_period_is_permutation():
-    for q, a, b in [(7, 1, 0), (101, 4, 0), (101, 17, 5), (499, 3, 11)]:
+    # at q = 2 the Fermat exponent q - 2 is 0, and 0 must still map to 0
+    for q, a, b in [(2, 1, 0), (3, 1, 0), (7, 1, 0), (101, 4, 0), (101, 17, 5), (499, 3, 11)]:
         samples = eicg_stream(StreamSpec.eicg(q, a, b), q)
         assert set(samples.x.tolist()) == set(range(q))
 
@@ -155,6 +157,14 @@ def test_eicg_index_at_int64_bound_is_exact():
     assert last.x[0] == pow((4 * (2**63 - 1)) % 101, 99, 101)
     with pytest.raises(RangeError):
         eicg_stream(spec, 2, 2**63 - 1)
+    # a * n overflows an int64 here unless n is reduced mod q first
+    a = 2**31 - 2
+    spec = StreamSpec.eicg_pow2(31, a=a, b=1)
+    last = eicg_pow2_stream(spec, 1, 2**63 - 1)
+    assert last.n[0] == 2**63 - 1
+    assert last.x[0] == pow(a * (2**63 - 1) + 1, -1, 2**31)
+    with pytest.raises(RangeError):
+        eicg_pow2_stream(spec, 2, 2**63 - 1)
 
 
 def test_eicg_pow2_examples():
@@ -235,6 +245,17 @@ def test_compound_skips_inadmissible_indices():
     assert samples.n[:6].tolist() == [1, 2, 3, 4, 6, 8]
 
 
+def test_compound_states_match_python_crt():
+    # Python-int CRT per index, at a product just below 2**31 and with 8 primes
+    for primes, start in [((46337, 46327), 10**5), ((5, 7, 11, 13, 17, 19, 23, 29), 777)]:
+        samples = compound_stream(3, primes, 64, start)
+        modulus = math.prod(primes)
+        for n, x in zip(samples.n.tolist(), samples.x.tolist()):
+            expected = sum(mod_inverse(4 * n, qj) * (modulus // qj) for qj in primes) % modulus
+            assert x == expected
+        assert samples.modulus == modulus
+
+
 def test_compound_restart():
     assert_concatenates(
         compound_stream(3, (5, 7), 20),
@@ -255,6 +276,20 @@ def test_compound_identity_holds():
                 z = points[phases.n.tolist().index(n % qj)]
                 lhs *= (angle.cos_rho**2 + 1j * z) / angle.sin_rho**2
             assert lhs == pytest.approx(cmath.exp(2j * math.pi * u), abs=1e-9)
+
+
+def test_stream_sample_budget_refused_before_any_work():
+    over = MAX_STREAM_SAMPLES + 1
+    with pytest.raises(TooLarge):
+        eicg_stream(StreamSpec.eicg(101), over)
+    with pytest.raises(TooLarge):
+        eicg_pow2_stream(StreamSpec.eicg_pow2(31), 2**30)
+    with pytest.raises(TooLarge):
+        lcg_stream(randu_preset(), over, start=2**40)  # no O(start) skip either
+    with pytest.raises(TooLarge):
+        compound_stream(3, (5, 7), over)
+    with pytest.raises(TooLarge):
+        vfe_unit_samples(2**31 - 1)  # the whole period would be built
 
 
 def test_stream_kind_guard():

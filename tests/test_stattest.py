@@ -166,6 +166,15 @@ def test_serial_test_eicg_within_bound():
     assert report.extreme_upper <= report.theorem2_upper
 
 
+def test_serial_test_default_lags_and_early_refusal():
+    samples = eicg_stream(StreamSpec.eicg(101, a=4, b=0), 101).u
+    for k in (1, 2, 3):
+        assert serial_test(samples, k) == serial_test(samples, k, tuple(range(k)))
+    # refused before k lags or k-tuples are built
+    with pytest.raises(TooLarge, match="k <= 3"):
+        serial_test(samples, 10**12)
+
+
 def test_serial_test_constant_sequence_clusters():
     report = serial_test([0.1] * 32, 2, (0, 1))
     assert report.star > 0.9

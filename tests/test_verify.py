@@ -1,4 +1,8 @@
+import pytest
+
 from filament_prng import prng, verify
+from filament_prng.errors import TooLarge
+from filament_prng.prng import MAX_STREAM_SAMPLES
 from filament_prng.verify import (
     SuiteResult,
     verify_closure,
@@ -20,6 +24,22 @@ def test_gauss_sweep_deterministic_across_workers():
     again = verify_gauss(q_max=60)
     assert first == again
     assert all(s.passed for s in first)
+
+
+def test_sweep_work_budget_refused_before_any_work():
+    # gauss sums at most q_max**3 terms; the largest accepted q_max is 1024
+    assert 1024**3 <= verify.MAX_SWEEP_CASES < 1025**3
+    with pytest.raises(TooLarge):
+        verify_gauss(q_max=1025)
+    # each polygon passes the corner budget, the sweep does not
+    with pytest.raises(TooLarge, match="closure sweep"):
+        verify_closure(sides_range=(3, 3), q_max=300_000)
+    with pytest.raises(TooLarge, match="theorem1 sweep"):
+        verify_theorem1(sides_range=(3, 8), q_max=300)
+    with pytest.raises(TooLarge):
+        verify_compound(p_max=MAX_STREAM_SAMPLES + 1)
+    # the default sweeps fit: at most 300**3 = 2.7e7 units
+    assert 300**3 <= verify.MAX_SWEEP_CASES
 
 
 def test_theorem1_sweep_small():
