@@ -22,7 +22,6 @@ from .filament import (
     z_qm_closed,
 )
 from .gauss import (
-    gauss_direct,
     gauss_direct_row,
     gauss_magnitude,
     theta_sequence,

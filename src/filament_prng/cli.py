@@ -251,13 +251,14 @@ def cmd_randu_planes(args) -> int:
 
 
 def cmd_chi2(args) -> int:
+    quantile = chi2_quantile_999(args.bins - 1)  # refuses a bin count before any work
     stream = _unit_stream(args)
     statistic, bins = chi_square_uniformity(stream.u, args.bins)
     payload = {
         "statistic": statistic,
         "bins": bins,
         "samples": len(stream),
-        "chi2_quantile_999": chi2_quantile_999(bins - 1),
+        "chi2_quantile_999": quantile,
     }
     _emit(report_json(payload), args.output_path)
     return EXIT_OK

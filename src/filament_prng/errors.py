@@ -30,10 +30,6 @@ class CompositeModulus(DomainError):
     pass
 
 
-class WrongParityClass(DomainError):
-    pass
-
-
 class DegeneratePolygon(DomainError):
     pass
 

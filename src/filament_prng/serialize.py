@@ -16,10 +16,6 @@ import numpy as np
 FLOAT_FORMAT = ".17g"
 
 
-def format_float(x: float) -> str:
-    return format(float(x), FLOAT_FORMAT)
-
-
 def _rows(columns: Mapping[str, np.ndarray]):
     """The cells of each row, as Python ints and floats."""
     return zip(*(column.tolist() for column in columns.values()))

@@ -24,14 +24,7 @@ from .filament import (
     corner_products,
     z_qm_closed,
 )
-from .gauss import (
-    active_indices,
-    closed_0mod4_row,
-    closed_2mod4_row,
-    closed_odd_row,
-    gauss_direct_row,
-    gauss_magnitude,
-)
+from .gauss import active_indices, closed_row, gauss_direct_row, gauss_magnitude
 from .modular import coprime_residues
 from .prng import MAX_STREAM_SAMPLES, StreamSpec, _compound_states, compound_identity_residual
 
@@ -88,26 +81,23 @@ def _suite(name: str, rows: Sequence[tuple[float, int]], tolerance: float) -> Su
 
 def _gauss_errors_for_q(q: int) -> tuple[tuple[float, int], tuple[float, int]]:
     """(magnitude error, cases) and (closed-form error, cases), errors
-    normalized by sqrt(q)."""
+    normalized by sqrt(q); the closed form is compared at the active
+    indices."""
     scale = math.sqrt(q)
     law = gauss_magnitude(1, np.arange(q), q)  # the same for every coprime p
-    active = np.asarray(active_indices(q))
+    # q = 2 is left out of the closed-form suite so that its case count, which
+    # bench/workloads.gauss_cases enumerates, stays comparable across versions;
+    # tests/test_gauss.py checks the closed form at q = 2.
+    active = np.asarray(active_indices(q) if q != 2 else [], dtype=np.int64)
     mag_err = closed_err = 0.0
     mag_cases = closed_cases = 0
     for p in _sweep_residues(q):
         row = gauss_direct_row(-p, q)
         mag_err = max(mag_err, float(np.max(np.abs(np.abs(row) - law))) / scale)
         mag_cases += q
-        if q % 2:
-            closed = closed_odd_row(p, q, active)
-        elif q % 4 == 2 and q > 2:
-            closed = closed_2mod4_row(p, q, active)
-        elif q % 4 == 0:
-            closed = closed_0mod4_row(p, q, active)
-        else:  # q = 2 carries no closed form; the direct route stands alone
-            continue
+        closed = closed_row(p, q, active)
         closed_err = max(
-            closed_err, float(np.max(np.abs(closed - row[active]))) / scale
+            closed_err, float(np.max(np.abs(closed - row[active]), initial=0.0)) / scale
         )
         closed_cases += len(active)
     return (mag_err, mag_cases), (closed_err, closed_cases)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from filament_prng import prng, stattest
 from filament_prng.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from filament_prng.prng import StreamSpec, eicg_stream
-from filament_prng.serialize import f64le_bytes, format_float, table_csv, table_json
+from filament_prng.serialize import f64le_bytes, table_csv, table_json
 from filament_prng.verify import SuiteResult
 
 
@@ -122,6 +122,9 @@ def test_bad_subcommand_usage_exit(capsys):
         "generate --kind lcg -a 3 -b 1 -q 0 -n 3",
         "stats chi2 --kind eicg -q 101 --bins 1",
         "stats chi2 --kind eicg -q 101 --bins 200",
+        # bin counts beyond the quantile table, refused before the stream is built
+        "stats chi2 --kind eicg -q 101 --bins 1000000000000",
+        "stats chi2 --kind eicg -q 101 --bins 100000000000000000000",
         "generate --kind eicg -q 101 -n -5",
         "generate --kind eicg -q 101 --start -1",
         "stats randu-planes -n -5",
@@ -303,9 +306,10 @@ def test_outputs_are_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_format_float_round_trips():
-    for x in (1 / 3, 0.1, 2**-52, 1.0, 9.87654321e300):
-        assert float(format_float(x)) == x
+def test_table_csv_floats_round_trip():
+    values = [1 / 3, 0.1, 2**-52, 1.0, 9.87654321e300]
+    text = table_csv({"u": np.array(values)})
+    assert [float(cell) for cell in text.splitlines()[1:]] == values
 
 
 def test_unit_samples_csv_x_column_exact():
@@ -342,7 +346,7 @@ PRIME_LISTS = (["5,7", "11,13,17"], [",", "x", "4,7", "5,5", "5,7,11,13,17,19,23
 SIDE_RANGES = (["3", "3..4"], ["2..3", "4..3", "1000000000", "3..1000000000", "x"])
 LAGS = (["0,1", "0,2,5"], ["1,0", "0", "0,0", "x"])
 KS = ([1, 2, 3], [-1, 0, 4, 200, 10**9])
-BINS = ([2, 20], [-3, 1, 200])
+BINS = ([2, 20], [-3, 1, 200, 10**12])
 QMAX = ([1, 6, 8], [-5, 0])
 PMAX = ([10, 50], [-1, 0])
 # Options each stream kind needs to run.

@@ -6,18 +6,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from filament_prng.errors import EvenModulus, NotCoprime, WrongParityClass
+from filament_prng.errors import NotCoprime
 from filament_prng.gauss import (
     active_indices,
-    closed_0mod4_row,
-    closed_2mod4_row,
-    closed_odd_row,
-    gauss_direct,
+    closed_row,
     gauss_direct_row,
     gauss_magnitude,
     theta_sequence,
 )
 from filament_prng.modular import coprime_residues, phi_p
+from helpers import gauss_direct
 
 TWO_PI = 2.0 * math.pi
 
@@ -43,6 +41,7 @@ def test_direct_two_term_even():
     assert val == pytest.approx(2 + 0j, abs=1e-12)
     assert abs(val) == pytest.approx(math.sqrt(2 * 2), abs=1e-12)
     assert gauss_magnitude(1, 1, 2) == math.sqrt(2 * 2)
+    assert closed_row(1, 2, np.array([0, 1])).tolist() == [0j, 2 + 0j]
 
 
 def test_direct_row_matches_scalar():
@@ -110,79 +109,38 @@ def test_magnitude_law_against_direct():
 
 
 def test_closed_odd_examples():
-    assert closed_odd_row(1, 3, np.array([0]))[0] == pytest.approx(
+    assert closed_row(1, 3, np.array([0]))[0] == pytest.approx(
         -1j * math.sqrt(3), abs=1e-12
     )
-    assert closed_odd_row(1, 5, np.array([1]))[0] == pytest.approx(
+    assert closed_row(1, 5, np.array([1]))[0] == pytest.approx(
         math.sqrt(5) * cmath.exp(8j * math.pi / 5), abs=1e-12
     )
-    assert closed_odd_row(1, 1, np.array([0]))[0] == pytest.approx(1 + 0j, abs=1e-15)
-
-
-def test_closed_odd_matches_direct():
-    for p, q in coprime_pairs(99):
-        if q % 2 == 0:
-            continue
-        row = gauss_direct_row(-p, q)
-        assert closed_odd_row(p, q, np.arange(q)) == pytest.approx(
-            row, abs=1e-9 * math.sqrt(q)
-        )
-
-
-def test_closed_odd_rejects_bad_inputs():
-    with pytest.raises(EvenModulus):
-        closed_odd_row(1, 4, np.array([0]))
-    with pytest.raises(NotCoprime):
-        closed_odd_row(3, 9, np.array([0]))
-
-
-def test_closed_2mod4_matches_direct():
-    for p, q in coprime_pairs(98):
-        if q % 4 != 2 or q == 2:
-            continue
-        row = gauss_direct_row(-p, q)
-        ms = np.arange(1, q, 2)
-        closed = closed_2mod4_row(p, q, ms)
-        assert closed == pytest.approx(row[ms], abs=1e-9 * math.sqrt(q))
-        assert np.abs(closed) == pytest.approx(math.sqrt(2 * q), rel=1e-12)
-
-
-def test_closed_2mod4_rejects_bad_inputs():
-    with pytest.raises(WrongParityClass):
-        closed_2mod4_row(1, 2, np.array([1]))  # no closed form at q = 2
-    with pytest.raises(WrongParityClass):
-        closed_2mod4_row(1, 6, np.array([2]))  # even index
-    with pytest.raises(WrongParityClass):
-        closed_2mod4_row(1, 8, np.array([1]))  # wrong parity class of q
-    with pytest.raises(NotCoprime):
-        closed_2mod4_row(3, 6, np.array([1]))
+    assert closed_row(1, 1, np.array([0]))[0] == pytest.approx(1 + 0j, abs=1e-15)
 
 
 def test_closed_0mod4_examples_match_direct():
     for p, m, q in [(1, 0, 4), (1, 2, 12), (3, 0, 8)]:
-        assert closed_0mod4_row(p, q, np.array([m]))[0] == pytest.approx(
+        assert closed_row(p, q, np.array([m]))[0] == pytest.approx(
             gauss_direct(-p, m, q), abs=1e-9 * math.sqrt(q)
         )
 
 
-def test_closed_0mod4_matches_direct():
+def test_closed_row_matches_direct():
+    # every coprime (p, q), q = 2 included, at every index m
     for p, q in coprime_pairs(100):
-        if q % 4 != 0:
-            continue
         row = gauss_direct_row(-p, q)
-        ms = np.arange(0, q, 2)
-        assert closed_0mod4_row(p, q, ms) == pytest.approx(
-            row[ms], abs=1e-9 * math.sqrt(q)
-        )
+        closed = closed_row(p, q, np.arange(q))
+        assert closed == pytest.approx(row, abs=1e-9 * math.sqrt(q))
+        active = np.asarray(active_indices(q))
+        assert np.all(np.delete(closed, active) == 0)
+        if q % 4 == 2:
+            assert np.abs(closed[active]) == pytest.approx(math.sqrt(2 * q), rel=1e-12)
 
 
-def test_closed_0mod4_rejects_bad_inputs():
-    with pytest.raises(WrongParityClass):
-        closed_0mod4_row(1, 4, np.array([1]))  # odd index
-    with pytest.raises(WrongParityClass):
-        closed_0mod4_row(1, 6, np.array([0]))
-    with pytest.raises(NotCoprime):
-        closed_0mod4_row(2, 8, np.array([0]))
+def test_closed_row_rejects_noncoprime():
+    for p, q in [(3, 9), (3, 6), (2, 8), (2, 2)]:
+        with pytest.raises(NotCoprime):
+            closed_row(p, q, np.array([1]))
 
 
 def test_doubling_identity_2mod4():
