@@ -125,22 +125,51 @@ def test_closed_0mod4_examples_match_direct():
         )
 
 
-def test_closed_row_matches_direct():
-    # every coprime (p, q), q = 2 included, at every index m
-    for p, q in coprime_pairs(100):
+def check_closed_row(q_class, modulus, q_max):
+    # every coprime (p, q) with q = q_class mod modulus, at every index m:
+    # the closed form matches the direct sum and is an exact 0 off the
+    # active indices
+    for p, q in coprime_pairs(q_max):
+        if q % modulus != q_class:
+            continue
         row = gauss_direct_row(-p, q)
         closed = closed_row(p, q, np.arange(q))
         assert closed == pytest.approx(row, abs=1e-9 * math.sqrt(q))
         active = np.asarray(active_indices(q))
         assert np.all(np.delete(closed, active) == 0)
-        if q % 4 == 2:
-            assert np.abs(closed[active]) == pytest.approx(math.sqrt(2 * q), rel=1e-12)
+        yield q, closed[active]
 
 
-def test_closed_row_rejects_noncoprime():
-    for p, q in [(3, 9), (3, 6), (2, 8), (2, 2)]:
+def test_closed_odd_matches_direct():
+    for q, active in check_closed_row(1, 2, 99):
+        assert np.abs(active) == pytest.approx(math.sqrt(q), rel=1e-12)
+
+
+def test_closed_2mod4_matches_direct():
+    # q = 2 included
+    for q, active in check_closed_row(2, 4, 98):
+        assert np.abs(active) == pytest.approx(math.sqrt(2 * q), rel=1e-12)
+
+
+def test_closed_0mod4_matches_direct():
+    for q, active in check_closed_row(0, 4, 100):
+        assert np.abs(active) == pytest.approx(math.sqrt(2 * q), rel=1e-12)
+
+
+def test_closed_odd_rejects_bad_inputs():
+    with pytest.raises(NotCoprime):
+        closed_row(3, 9, np.array([0]))
+
+
+def test_closed_2mod4_rejects_bad_inputs():
+    for p, q in [(3, 6), (2, 2)]:
         with pytest.raises(NotCoprime):
             closed_row(p, q, np.array([1]))
+
+
+def test_closed_0mod4_rejects_bad_inputs():
+    with pytest.raises(NotCoprime):
+        closed_row(2, 8, np.array([0]))
 
 
 def test_doubling_identity_2mod4():
