@@ -194,8 +194,7 @@ def _unit_stream(args) -> Stream:
             raise BadParameters("compound streams need --primes")
         count = _require(args.count, "-n")
         return compound_stream(args.sides, args.primes, count, args.start)
-    stop = None if args.count is None else args.start + args.count
-    return vfe_unit_samples(_require(args.q, "-q"))[args.start : stop]
+    return vfe_unit_samples(_require(args.q, "-q"), args.start, args.count)
 
 
 def cmd_generate(args) -> int:

@@ -88,63 +88,75 @@ def corner_angle(sides: int, q: int) -> CornerAngle:
     return CornerAngle(rho=rho, cos_rho=c, sin_rho=math.sin(rho))
 
 
-def _active_thetas(config: PolygonConfig) -> np.ndarray:
-    """Rotation phase at each corner over one full period.
+def _corner_thetas(sides: int, q: int, thetas: np.ndarray) -> np.ndarray:
+    """Rotation phase at each corner over one full period, (..., K) from
+    rows (..., len(active_indices(q))) of theta_sequence.
 
     The phase at global grid index j is theta_(j mod q); for even q only
     every second grid index carries a corner (odd indices when q = 2 mod 4,
     even when q = 0 mod 4).
     """
-    q = config.time.q
     active = active_indices(q)
-    phases = np.zeros(q)
-    phases[active] = theta_sequence(config.time.p, q)
-    grid = np.arange(active.start, config.sides * q, active.step)
-    return phases[grid % q]
+    phases = np.zeros(thetas.shape[:-1] + (q,))
+    phases[..., active.start :: active.step] = thetas
+    grid = np.arange(active.start, sides * q, active.step)
+    return phases[..., grid % q]
 
 
 def rotation_stack(angle: CornerAngle, thetas: np.ndarray) -> np.ndarray:
-    """(K, 3, 3) stack of the corner rotations acting on the (tangent,
-    normal, normal) rows, one per phase.
+    """(..., K, 3, 3) stack of the corner rotations acting on the (tangent,
+    normal, normal) rows, one per phase of the (..., K) array thetas.
 
     Identity when rho = 0; for theta = 0 it reduces to an in-plane turn
     [[c, s, 0], [-s, c, 0], [0, 0, 1]].
     """
     c, s = angle.cos_rho, angle.sin_rho
     ct, st = np.cos(thetas), np.sin(thetas)
-    out = np.empty((len(thetas), 3, 3))
-    out[:, 0, 0] = c
-    out[:, 0, 1] = s * ct
-    out[:, 0, 2] = s * st
-    out[:, 1, 0] = -s * ct
-    out[:, 1, 1] = c * ct * ct + st * st
-    out[:, 1, 2] = (c - 1.0) * ct * st
-    out[:, 2, 0] = -s * st
-    out[:, 2, 1] = out[:, 1, 2]
-    out[:, 2, 2] = c * st * st + ct * ct
+    out = np.empty(np.shape(thetas) + (3, 3))
+    out[..., 0, 0] = c
+    out[..., 0, 1] = s * ct
+    out[..., 0, 2] = s * st
+    out[..., 1, 0] = -s * ct
+    out[..., 1, 1] = c * ct * ct + st * st
+    out[..., 1, 2] = (c - 1.0) * ct * st
+    out[..., 2, 0] = -s * st
+    out[..., 2, 1] = out[..., 1, 2]
+    out[..., 2, 2] = c * st * st + ct * ct
     return out
 
 
-def _config_rotations(config: PolygonConfig) -> np.ndarray:
-    angle = corner_angle(config.sides, config.time.q)
-    return rotation_stack(angle, _active_thetas(config))
+def _rotations(sides: int, q: int, thetas: np.ndarray) -> np.ndarray:
+    angle = corner_angle(sides, q)
+    return rotation_stack(angle, _corner_thetas(sides, q, thetas))
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:
-    """mats[-1] @ ... @ mats[0] by pairwise tree reduction (deterministic)."""
-    if len(mats) == 0:
-        return np.eye(3)
-    while len(mats) > 1:
-        half = len(mats) // 2
-        paired = mats[1 : 2 * half : 2] @ mats[0 : 2 * half : 2]
-        mats = paired if len(mats) % 2 == 0 else np.concatenate([paired, mats[-1:]])
-    return mats[0]
+    """mats[..., K-1, :, :] @ ... @ mats[..., 0, :, :] along the corner axis
+    by pairwise tree reduction (deterministic)."""
+    if mats.shape[-3] == 0:
+        return np.broadcast_to(np.eye(3), mats.shape[:-3] + (3, 3)).copy()
+    while mats.shape[-3] > 1:
+        half = mats.shape[-3] // 2
+        paired = mats[..., 1 : 2 * half : 2, :, :] @ mats[..., 0 : 2 * half : 2, :, :]
+        if mats.shape[-3] % 2:
+            paired = np.concatenate([paired, mats[..., -1:, :, :]], axis=-3)
+        mats = paired
+    return mats[..., 0, :, :]
+
+
+def closure_residual_stack(sides: int, q: int, thetas: np.ndarray) -> np.ndarray:
+    """Frobenius distance of the full-period rotation product from the
+    identity, one per row (..., ·) of theta_sequence(ps, q)."""
+    gap = _ordered_product(_rotations(sides, q, thetas)) - np.eye(3)
+    flat = gap.reshape(gap.shape[:-2] + (1, 9))
+    # (1, 9) @ (9, 1) is the dot product np.linalg.norm takes for one matrix.
+    return np.sqrt(flat @ np.swapaxes(flat, -1, -2))[..., 0, 0]
 
 
 def closure_residual(config: PolygonConfig) -> float:
     """Frobenius distance of the full-period rotation product from identity."""
-    prod = _ordered_product(_config_rotations(config))
-    return float(np.linalg.norm(prod - np.eye(3)))
+    q = config.time.q
+    return float(closure_residual_stack(config.sides, q, theta_sequence(config.time.p, q)))
 
 
 def build_polygon(config: PolygonConfig) -> np.ndarray:
@@ -157,33 +169,42 @@ def build_polygon(config: PolygonConfig) -> np.ndarray:
             f"polygon limited to {MAX_POLYGON_CORNERS} corners (2**20); "
             f"M={config.sides}, q={config.time.q} has {config.corner_count}"
         )
-    tangents = _tangent_rows(config, np.eye(3))[1 : config.corner_count + 1]
+    q = config.time.q
+    rots = _rotations(config.sides, q, theta_sequence(config.time.p, q))
+    tangents = _tangent_rows(rots, np.eye(3))[1 : config.corner_count + 1]
     verts = np.zeros_like(tangents)
     verts[1:] = np.cumsum(config.side_length * tangents[:-1], axis=0)
     return verts
 
 
-def _tangent_rows(config: PolygonConfig, initial: np.ndarray) -> np.ndarray:
-    """Tangent rows through one period: row i is the tangent before corner i,
-    for i = 0..K+1 (the last entry wraps one corner past the period)."""
-    rots = _config_rotations(config)
-    rows = np.empty((len(rots) + 2, 3))
-    frame = initial
-    rows[0] = frame[0]
-    for i, rot in enumerate(rots):
+def _tangent_rows(rots: np.ndarray, initial: np.ndarray) -> np.ndarray:
+    """Tangent rows (..., K + 2, 3) through one period of the rotation
+    stack (..., K, 3, 3): row i is the tangent before corner i, for
+    i = 0..K+1 (the last entry wraps one corner past the period).
+
+    One (..., 3, 3) frame stack is stepped corner by corner, so a stack of
+    P polygons costs K matrix products, not P K.
+    """
+    steps = np.moveaxis(rots, -3, 0)  # (K, ..., 3, 3): one view per corner
+    frame = np.broadcast_to(initial, steps.shape[1:])
+    rows = np.empty((len(steps) + 2,) + frame.shape[:-1])
+    rows[0] = frame[..., 0, :]
+    for i, rot in enumerate(steps):
         frame = rot @ frame
-        rows[i + 1] = frame[0]
-    frame = rots[0] @ frame  # phases repeat with period K
-    rows[len(rots) + 1] = frame[0]
-    return rows
+        rows[i + 1] = frame[..., 0, :]
+    frame = steps[0] @ frame  # phases repeat with period K
+    rows[len(steps) + 1] = frame[..., 0, :]
+    return np.moveaxis(rows, 0, -2)
 
 
-def corner_products(
-    config: PolygonConfig, initial: np.ndarray | None = None
+def corner_products_stack(
+    sides: int, q: int, thetas: np.ndarray, initial: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """All triple and scalar products over the active index set in one
-    transported pass.  `initial` replaces the identity starting frame (the
-    products are rotation-invariant, which tests exercise through it).
+    """Triple and scalar products (..., K) at every index of the active set,
+    one row per row (..., ·) of theta_sequence(ps, q), in one transported
+    pass of the whole stack.  `initial` replaces the identity starting
+    frame (the products are rotation-invariant, which tests exercise
+    through it).
 
     Index m reads the tangents before, between and after its corner pair:
     rows (m, m + 1, m + 2), except for q = 2 mod 4, which pairs the corner
@@ -191,15 +212,24 @@ def corner_products(
     around the period.
     """
     initial = np.eye(3) if initial is None else np.asarray(initial, dtype=float)
-    rows = _tangent_rows(config, initial)
-    count = config.corner_count
+    rows = _tangent_rows(_rotations(sides, q, thetas), initial)
+    count = rows.shape[-2] - 2
     first = np.arange(count)
-    if config.time.q % 4 == 2:
+    if q % 4 == 2:
         first = (first - 1) % count
-    stacked = rows[first[:, None] + np.arange(3)]  # (K, 3, 3)
+    stacked = rows[..., first[:, None] + np.arange(3), :]  # (..., K, 3, 3)
     triples = np.linalg.det(stacked)
-    scalars = np.einsum("ij,ij->i", stacked[:, 0, :], stacked[:, 2, :])
+    scalars = np.einsum("...j,...j->...", stacked[..., 0, :], stacked[..., 2, :])
     return triples, scalars
+
+
+def corner_products(
+    config: PolygonConfig, initial: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """All triple and scalar products over the active index set of one
+    polygon: the one-row view of corner_products_stack."""
+    q = config.time.q
+    return corner_products_stack(config.sides, q, theta_sequence(config.time.p, q), initial)
 
 
 def circle_row(angle: CornerAngle, u: np.ndarray | float) -> np.ndarray:

@@ -15,26 +15,50 @@ import math
 import numpy as np
 
 from .errors import NotCoprime
-from .modular import _check_modulus, factor_pow2, jacobi, mod_inverse
+from .modular import _check_modulus, euler_totient, factor_pow2, jacobi, pow_row
 
 TWO_PI = 2.0 * math.pi
 
 # i**k for k mod 4, kept exact on the unit circle.
-_I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
+_I_POW = np.array([1 + 0j, 1j, -1 + 0j, -1j])
 
 
-def gauss_direct_row(a: int, c: int) -> np.ndarray:
-    """G(a, b, c) for every b = 0..c-1 as one complex array.
+def _residue_row(a, n: int) -> np.ndarray:
+    """An int or an int64 array reduced into [0, n) as int64; Python ints of
+    any size are reduced before they meet the fixed-width array."""
+    return np.asarray(np.asarray(a) % n, dtype=np.int64)
+
+
+def _coprime_row(p, q: int) -> np.ndarray:
+    """p reduced mod q, refused unless every entry is coprime to q."""
+    _check_modulus(q)
+    ps = _residue_row(p, q)
+    shared = np.gcd(ps, q) != 1
+    if shared.any():
+        raise NotCoprime(f"p={p if ps.ndim == 0 else ps[shared][0]} and q={q} are not coprime")
+    return ps
+
+
+def _unit_roots(den: int) -> np.ndarray:
+    """exp(2 pi i k / den) for k = 0..den-1, bit for bit the values the
+    same exponential gives at any one k."""
+    return np.exp((2j * np.pi / den) * np.arange(den, dtype=np.int64))
+
+
+def gauss_direct_row(a: int | np.ndarray, c: int) -> np.ndarray:
+    """G(a, b, c) for every b = 0..c-1: one complex row for an int a, a
+    (P, c) stack of rows for an int64 array of P values of a.
 
     The summands are evaluated through an FFT: with
     w_l = exp(2 pi i a l^2 / c), the row is c * ifft(w).  Only the
-    association order of the accumulation differs from a literal sum.
+    association order of the accumulation differs from a literal sum.  The
+    summands of every row of a stack are read from one table of the c-th
+    roots of unity.
     """
     _check_modulus(c)
     l = np.arange(c, dtype=np.int64)
-    k = (a % c) * (l * l % c) % c
-    w = np.exp((2j * np.pi / c) * k)
-    return c * np.fft.ifft(w)
+    k = _residue_row(a, c)[..., None] * (l * l % c) % c
+    return c * np.fft.ifft(_unit_roots(c)[k], axis=-1)
 
 
 def gauss_magnitude(p: int, m: int | np.ndarray, q: int) -> float | np.ndarray:
@@ -52,14 +76,19 @@ def gauss_magnitude(p: int, m: int | np.ndarray, q: int) -> float | np.ndarray:
     return np.where((q // 2 - m) % 2 == 0, math.sqrt(2 * q), 0.0)[()]
 
 
-def _phase_row(scale: int, ks: np.ndarray, den: int) -> np.ndarray:
-    """exp(2 pi i (scale * ks) / den) with the numerator reduced exactly."""
-    ks = (scale % den) * (ks % den) % den
+def _phase_row(scale: np.ndarray, ks: np.ndarray, den: int) -> np.ndarray:
+    """exp(2 pi i (scale * ks) / den) with the numerator reduced exactly; a
+    column of scales against a row of ks gives one grid of phases, read
+    from the table of den-th roots when that is the smaller one."""
+    ks = scale[..., None] * (ks % den) % den
+    if den <= ks.size:
+        return _unit_roots(den)[ks]
     return np.exp((2j * np.pi / den) * ks)
 
 
-def closed_row(p: int, q: int, ms: np.ndarray) -> np.ndarray:
-    """Closed form of G(-p, m, q) for every q >= 1, vectorized over m.
+def closed_row(p: int | np.ndarray, q: int, ms: np.ndarray) -> np.ndarray:
+    """Closed form of G(-p, m, q) for every q >= 1, vectorized over m: one
+    row for an int p, a (P, len(ms)) stack for an int64 array of P values.
 
     With q = 2**r q' (q' odd) the sum splits by the Chinese remainder
     theorem as G(-2**r p, m, q') G(-q' p, m, 2**r).  The odd factor is
@@ -67,31 +96,33 @@ def closed_row(p: int, q: int, ms: np.ndarray) -> np.ndarray:
     q' = 3 mod 4, with phi1 = (2**(r+2) p)^-1 mod q'.  The 2-power factor
     is 1 for r = 0; 2 at odd m for r = 1; for r >= 2 it is
     exp(pi i phi2 m^2 / 2**(r+1)) (2**r | q' p)(1 - i**(q' p)) sqrt(2**r)
-    at even m, with phi2 = (q' p)^-1 mod 2**r.  At the indices where the
-    magnitude law puts no mass the row holds an exact 0.
+    at even m, with phi2 = (q' p)^-1 mod 2**r.  Both inverses come from
+    pow_row.  At the indices where the magnitude law puts no mass the row
+    holds an exact 0.
     """
-    _check_modulus(q)
-    if math.gcd(p, q) != 1:
-        raise NotCoprime(f"p={p} and q={q} are not coprime")
-    p %= q
+    ps = _coprime_row(p, q)
     r, q1 = factor_pow2(q)
     two_r = 1 << r
     ms = np.asarray(ms, dtype=np.int64) % q
     m2 = ms * ms
-    pref = math.sqrt(q1) * jacobi(two_r * p, q1)
+    # (2**r p | q') = (2**r | q')(p | q'), one Python step per p
+    symbols = [jacobi(v, q1) for v in ps.ravel().tolist()]
+    pref = math.sqrt(q1) * (jacobi(two_r, q1) * np.array(symbols).reshape(ps.shape))
     if q1 % 4 == 3:
-        pref *= -1j
-    odd_phase = _phase_row(mod_inverse(4 * two_r * p, q1), m2 % q1, q1)
+        pref = pref * -1j
+    phi1 = pow_row(4 * two_r % q1 * ps, euler_totient(q1) - 1, q1)
+    odd_phase = _phase_row(phi1, m2 % q1, q1)
     if r == 0:
-        return pref * odd_phase
+        return pref[..., None] * odd_phase
     if r == 1:
-        return np.where(ms % 2 == 1, 2 * pref * odd_phase, 0j)
-    phi2 = mod_inverse(q1 * p, two_r)
-    # (2**r | q'p) via multiplicativity in the denominator; q'p stays odd.
-    pref *= jacobi(two_r, q1) * jacobi(two_r, p)
-    pref *= (1 - _I_POW[q1 * p % 4]) * math.sqrt(two_r)
+        return np.where(ms % 2 == 1, 2 * pref[..., None] * odd_phase, 0j)
+    phi2 = pow_row(q1 % two_r * ps, two_r // 2 - 1, two_r)  # Euler: phi(2**r) = 2**(r-1)
+    # (2**r | q'p) = (2**r | q')(2 | p)**r, with (2 | p) = 1 iff p = +-1 mod 8.
+    two_p = np.where((ps % 8 == 1) | (ps % 8 == 7), 1, -1)
+    pref = pref * (jacobi(two_r, q1) * two_p**r)
+    pref = pref * ((1 - _I_POW[q1 * ps % 4]) * math.sqrt(two_r))
     # exp(pi i phi2 m^2 / 2**(r+1)) = exp(2 pi i phi2 (m^2/4) / 2**r) for even m
-    row = pref * odd_phase * _phase_row(phi2, (m2 >> 2) % two_r, two_r)
+    row = pref[..., None] * odd_phase * _phase_row(phi2, (m2 >> 2) % two_r, two_r)
     return np.where(ms % 2 == 0, row, 0j)
 
 
@@ -105,17 +136,18 @@ def active_indices(q: int) -> range:
     return range(0, q, 2)
 
 
-def theta_sequence(p: int, q: int) -> np.ndarray:
+def theta_sequence(p: int | np.ndarray, q: int) -> np.ndarray:
     """Phases in [0, 2 pi) of the nonzero sums G(-p, m, q), one per m of
-    active_indices(q).
+    active_indices(q): one row for an int p, a (P, ·) stack of rows for an
+    int64 array of P values.
 
     Each phase is taken with math.atan2: np.arctan2 differs from it in the
     last bit for some sums, which would change the polygon bytes.
     """
-    _check_modulus(q)
-    if math.gcd(p, q) != 1:
-        raise NotCoprime(f"p={p} and q={q} are not coprime")
-    row = gauss_direct_row(-p, q)[active_indices(q)]
-    thetas = np.array([math.atan2(z.imag, z.real) for z in row.tolist()]) % TWO_PI
+    ps = _coprime_row(p, q)
+    active = active_indices(q)
+    rows = gauss_direct_row(-ps, q)[..., active.start :: active.step]
+    phases = map(math.atan2, rows.imag.ravel().tolist(), rows.real.ravel().tolist())
+    thetas = np.fromiter(phases, float, rows.size).reshape(rows.shape) % TWO_PI
     thetas[thetas >= TWO_PI] = 0.0  # rounding of tiny negative angles
     return thetas

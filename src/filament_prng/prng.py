@@ -205,18 +205,22 @@ def eicg_pow2_stream(spec: StreamSpec, count: int, start: int = 0) -> Stream:
     return _inversive_stream(spec, count, start, spec.q // 2 - 1)  # Euler: phi(q) = q/2
 
 
-def vfe_unit_samples(q: int) -> Stream:
+def vfe_unit_samples(q: int, start: int = 0, count: int | None = None) -> Stream:
     """The circle phases x_p = phi(p) in the effective modulus, one per
-    residue p coprime to q, ascending p.
+    residue p coprime to q, ascending p: the window of `count` residues
+    (all the rest when None) from the start-th.
 
     For prime q these coincide with eicg_stream(q, a=4, b=0) at indices p.
-    The whole period is built, so q - 1 is held to MAX_STREAM_SAMPLES.
+    The residues of the whole period are listed, so q - 1 is held to
+    MAX_STREAM_SAMPLES, but phi is taken only inside the window.
     """
+    if start < 0 or (count is not None and count < 0):
+        raise RangeError(f"vfe window needs start, count >= 0, got {start}, {count}")
     _check_budget(q - 1)
-    residues = coprime_residues(q)
+    stop = None if count is None else start + count
+    residues = coprime_residues(q)[start:stop]
     phis = np.fromiter((phi_p(p, q)[0] for p in residues), np.int64, len(residues))
-    modulus = phi_p(residues[0], q)[1] if residues else q
-    return Stream(np.array(residues, dtype=np.int64), phis, modulus)
+    return Stream(np.array(residues, dtype=np.int64), phis, phi_p(1, q)[1])
 
 
 def compound_identity_residual(

@@ -212,9 +212,10 @@ def randu_plane_count(sample_count: int) -> int:
 
 
 def chi_square_uniformity(samples: Sequence[float], bins: int) -> tuple[float, int]:
-    """Pearson chi^2 statistic of the sample histogram against uniformity."""
-    if bins < 2:
-        raise BadParameters(f"need at least 2 bins, got {bins}")
+    """Pearson chi^2 statistic of the sample histogram against uniformity,
+    over 2..101 bins: the bin counts chi2_quantile_999 can judge."""
+    if not 2 <= bins <= len(_CHI2_Q999) + 1:
+        raise BadParameters(f"need 2..{len(_CHI2_Q999) + 1} bins, got {bins}")
     u = np.asarray(samples, dtype=float)
     if u.size == 0:
         raise EmptyInput("no samples")

@@ -2,35 +2,39 @@
 transport against the closed form, closure of the corner-rotation product,
 and the compound product identity.
 
-Shared by the `verify` CLI subcommand and the acceptance test suite.  The
-sweeps run in one thread: they are bound by the interpreter lock, so more
-threads would not make them faster.
+Shared by the `verify` CLI subcommand and the acceptance test suite.  Each
+sweep stacks the coprime p of one q into batches of at most _CHUNK_ELEMS
+Gauss-row entries or transported corners.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import BadParameters, TooLarge
 from .filament import (
     MAX_POLYGON_CORNERS,
-    PolygonConfig,
-    RationalTime,
-    closure_residual,
-    corner_products,
+    closure_residual_stack,
+    corner_products_stack,
     z_qm_closed,
 )
-from .gauss import active_indices, closed_row, gauss_direct_row, gauss_magnitude
+from .gauss import active_indices, closed_row, gauss_direct_row, gauss_magnitude, theta_sequence
 from .modular import coprime_residues
 from .prng import MAX_STREAM_SAMPLES, StreamSpec, _compound_states, compound_identity_residual
 
 # Work budget of one sweep, in units of one matrix or Gauss-sum term: an
 # upper bound computed from the parameters alone, before any work.
 MAX_SWEEP_CASES = 2**30
+
+# Largest batch of one sweep step: P values of p share one stack of P * q
+# Gauss-row entries or P * K transported corners, and at least one p is
+# taken.  The cap keeps the stacks near the size of one default polygon:
+# uncapped stacks raised the peak RSS of the default sweeps by about 17 %.
+_CHUNK_ELEMS = 2**12
 
 
 @dataclass(frozen=True)
@@ -54,9 +58,16 @@ class SuiteResult:
         )
 
 
-def _sweep_residues(q: int) -> list[int]:
-    """Coprime p values used by the sweeps; q = 1 contributes p = 1."""
-    return coprime_residues(q) or [1]
+def _sweep_residues(q: int) -> np.ndarray:
+    """Coprime p values used by the sweeps, as int64; q = 1 contributes p = 1."""
+    return np.array(coprime_residues(q) or [1], dtype=np.int64)
+
+
+def _chunks(ps: np.ndarray, width: int) -> Iterator[np.ndarray]:
+    """Consecutive runs of ps whose stacks of `width` entries per p hold at
+    most _CHUNK_ELEMS entries, at least one p each."""
+    size = max(1, _CHUNK_ELEMS // max(width, 1))
+    return (ps[lo : lo + size] for lo in range(0, len(ps), size))
 
 
 def _check_sweep(name: str, work: int) -> None:
@@ -89,18 +100,16 @@ def _gauss_errors_for_q(q: int) -> tuple[tuple[float, int], tuple[float, int]]:
     # bench/workloads.gauss_cases enumerates, stays comparable across versions;
     # tests/test_gauss.py checks the closed form at q = 2.
     active = np.asarray(active_indices(q) if q != 2 else [], dtype=np.int64)
+    ps = _sweep_residues(q)
     mag_err = closed_err = 0.0
-    mag_cases = closed_cases = 0
-    for p in _sweep_residues(q):
-        row = gauss_direct_row(-p, q)
-        mag_err = max(mag_err, float(np.max(np.abs(np.abs(row) - law))) / scale)
-        mag_cases += q
-        closed = closed_row(p, q, active)
+    for chunk in _chunks(ps, q):
+        rows = gauss_direct_row(-chunk, q)
+        mag_err = max(mag_err, float(np.max(np.abs(np.abs(rows) - law))) / scale)
+        closed = closed_row(chunk, q, active)
         closed_err = max(
-            closed_err, float(np.max(np.abs(closed - row[active]), initial=0.0)) / scale
+            closed_err, float(np.max(np.abs(closed - rows[:, active]), initial=0.0)) / scale
         )
-        closed_cases += len(active)
-    return (mag_err, mag_cases), (closed_err, closed_cases)
+    return (mag_err, q * len(ps)), (closed_err, len(active) * len(ps))
 
 
 def verify_gauss(q_max: int = 300) -> list[SuiteResult]:
@@ -120,9 +129,10 @@ def _polygon_sweep(
     sides_range: tuple[int, int],
     q_max: int,
     tolerance: float,
-    error: Callable[[PolygonConfig], tuple[float, int]],
+    error: Callable[[int, int, np.ndarray, np.ndarray], tuple[float, int]],
 ) -> SuiteResult:
-    """Worst (error, cases) of `error` over every valid (sides, q, p).
+    """Worst (error, cases) of `error(sides, q, ps, thetas)` over every valid
+    (sides, q, p), with p in batches whose theta rows serve every sides.
 
     Refused before any work when a polygon of the sweep could have more
     than MAX_POLYGON_CORNERS corners, the budget build_polygon keeps, or
@@ -136,21 +146,27 @@ def _polygon_sweep(
             f"(2**20); M <= {sides_hi} and q <= {q_max} give up to {sides_hi * q_max}"
         )
     _check_sweep(name, max(sides_hi - sides_lo + 1, 0) * sides_hi * max(q_max, 0) ** 3)
-    rows = [
-        error(PolygonConfig(sides, RationalTime(p, q)))
-        for sides in range(sides_lo, sides_hi + 1)
-        for q in range(1, q_max + 1)
-        for p in _sweep_residues(q)
-    ]
+    rows = []
+    for q in range(1, q_max + 1):
+        corners = sides_hi * q if q % 2 else sides_hi * q // 2
+        for ps in _chunks(_sweep_residues(q), corners):
+            thetas = theta_sequence(ps, q)
+            rows.extend(error(sides, q, ps, thetas) for sides in range(sides_lo, sides_hi + 1))
     return _suite(name, rows, tolerance)
 
 
-def _theorem1_error(config: PolygonConfig) -> tuple[float, int]:
-    triples, scalars = corner_products(config)
-    index = np.arange(config.corner_count)
-    closed = z_qm_closed(config.sides, config.time.q, config.time.p, index)
-    err = np.hypot(triples - closed.real, scalars - closed.imag)
-    return float(np.max(err)), config.corner_count
+def _theorem1_error(sides: int, q: int, ps: np.ndarray, thetas: np.ndarray) -> tuple[float, int]:
+    triples, scalars = corner_products_stack(sides, q, thetas)
+    index = np.arange(triples.shape[-1])
+    err = 0.0
+    for p, triple, scalar in zip(ps.tolist(), triples, scalars):
+        closed = z_qm_closed(sides, q, p, index)
+        err = max(err, float(np.max(np.hypot(triple - closed.real, scalar - closed.imag))))
+    return err, triples.size
+
+
+def _closure_error(sides: int, q: int, ps: np.ndarray, thetas: np.ndarray) -> tuple[float, int]:
+    return float(np.max(closure_residual_stack(sides, q, thetas))), len(ps)
 
 
 def verify_theorem1(
@@ -166,9 +182,7 @@ def verify_closure(
 ) -> SuiteResult:
     """Frobenius residual of the full-period rotation product against the
     identity, for every valid (sides, q, p)."""
-    return _polygon_sweep(
-        "closure", sides_range, q_max, 1e-7, lambda config: (closure_residual(config), 1)
-    )
+    return _polygon_sweep("closure", sides_range, q_max, 1e-7, _closure_error)
 
 
 def verify_compound(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from filament_prng import filament
 from filament_prng.errors import DegeneratePolygon, NotCoprime
 from filament_prng.filament import (
     CornerAngle,
@@ -301,3 +302,24 @@ def test_z_qm_closed_row_matches_exact_phase(sides, q, p):
 def test_z_qm_closed_rejects_noncoprime():
     with pytest.raises(NotCoprime):
         z_qm_closed(3, 6, 3, 0)
+
+
+def test_stacked_rows_equal_single_polygon_rows():
+    # every polygon of the default theorem1 sweep (M <= 8, q <= 40): the
+    # theta and tangent rows of a stack of all coprime p equal, bit for bit,
+    # the rows of each polygon on its own
+    eye = np.eye(3)
+    polygons = 0
+    for q in range(1, 41):
+        ps = np.array(coprime_residues(q) or [1], dtype=np.int64)
+        thetas = theta_sequence(ps, q)
+        for sides in range(3, 9):
+            rows = filament._tangent_rows(filament._rotations(sides, q, thetas), eye)
+            for i, p in enumerate(ps.tolist()):
+                single = theta_sequence(p, q)
+                assert np.array_equal(thetas[i], single)
+                assert np.array_equal(
+                    rows[i], filament._tangent_rows(filament._rotations(sides, q, single), eye)
+                )
+                polygons += 1
+    assert polygons == 2940

@@ -236,3 +236,29 @@ def test_phase_difference_identity_odd_q():
                 lhs = cmath.exp(1j * (phases[m + 1] - phases[m]))
                 rhs = cmath.exp(2j * math.pi * phi * (2 * m + 1) / q)
                 assert lhs == pytest.approx(rhs, abs=1e-9)
+
+
+def test_stacked_rows_equal_single_rows():
+    # a stack of every coprime p gives each p's own row, bit for bit
+    for q in range(1, 61):
+        ps = np.array(coprime_residues(q) or [1], dtype=np.int64)
+        ms = np.arange(q)
+        direct, closed = gauss_direct_row(-ps, q), closed_row(ps, q, ms)
+        assert direct.shape == closed.shape == (len(ps), q)
+        for i, p in enumerate(ps.tolist()):
+            assert np.array_equal(direct[i], gauss_direct_row(-p, q))
+            assert np.array_equal(closed[i], closed_row(p, q, ms))
+
+
+def test_rows_reduce_p_of_any_size_first():
+    big = 2**70 + 3
+    assert np.array_equal(theta_sequence(big, 7), theta_sequence(big % 7, 7))
+    assert np.array_equal(gauss_direct_row(-big, 7), gauss_direct_row(-(big % 7), 7))
+    assert np.array_equal(closed_row(big, 7, np.arange(7)), closed_row(big % 7, 7, np.arange(7)))
+
+
+def test_stacked_rows_refuse_any_noncoprime_p():
+    with pytest.raises(NotCoprime):
+        closed_row(np.array([1, 3, 6]), 9, np.array([0]))
+    with pytest.raises(NotCoprime):
+        theta_sequence(np.array([1, 2]), 4)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from filament_prng import prng
 from filament_prng.errors import BadParameters, BadPrimes, CompositeModulus, RangeError, TooLarge
 from filament_prng.filament import circle_row, corner_angle
 from filament_prng.modular import euler_totient, mod_inverse
@@ -214,6 +215,25 @@ def test_vfe_pow2_phases():
             - 1j * angle.sin_rho**2 * cmath.exp(2j * math.pi * p / 8)
         )
         assert value == pytest.approx(expected, abs=1e-12)
+
+
+def test_vfe_window_is_a_slice_of_the_period(monkeypatch):
+    calls = []
+    phi = prng.phi_p
+    monkeypatch.setattr(prng, "phi_p", lambda p, q: calls.append(p) or phi(p, q))
+    for q in (1, 2, 30, 101, 202, 128):
+        period = vfe_unit_samples(q)
+        last = max(len(period) - 1, 0)
+        for start, count in ((0, 3), (7, 5), (last, 4), (len(period) + 2, 1), (2, None)):
+            calls.clear()
+            window = vfe_unit_samples(q, start, count)
+            stop = None if count is None else start + count
+            assert window.n.tolist() == period.n[start:stop].tolist()
+            assert window.x.tolist() == period.x[start:stop].tolist()
+            assert window.modulus == period.modulus
+            assert len(calls) <= len(window) + 1  # phi only inside the window
+    with pytest.raises(RangeError):
+        vfe_unit_samples(101, -1, 3)
 
 
 def test_vfe_phases_match_eicg_for_prime_q():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from filament_prng.errors import BadDimension, BadLags, BadT, EmptyInput, TooLarge
+from filament_prng.errors import BadDimension, BadLags, BadT, DomainError, EmptyInput, TooLarge
 from filament_prng.prng import StreamSpec, eicg_stream, vfe_unit_samples
 from filament_prng.stattest import (
     MAX_EXACT_BOXES,
@@ -252,6 +252,14 @@ def test_chi2_single_bin_maximal():
     n, bins = 60, 12
     stat, _ = chi_square_uniformity([0.01] * n, bins)
     assert stat == pytest.approx(n * (bins - 1))
+
+
+def test_chi2_bin_budget_refused_before_any_work():
+    # the quantile table judges 2..101 bins; a huge count is refused, not allocated
+    assert chi_square_uniformity([0.5] * 10, 101)[1] == 101
+    for bins in (102, 10**12):
+        with pytest.raises(DomainError, match="bins"):
+            chi_square_uniformity([0.5] * 10, bins)
 
 
 def test_chi2_rejects_empty():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from filament_prng import prng, verify
@@ -19,7 +20,7 @@ def test_suite_result_describe():
     assert not bad.passed and "FAIL" in bad.describe()
 
 
-def test_gauss_sweep_deterministic_across_workers():
+def test_gauss_sweep_deterministic():
     first = verify_gauss(q_max=60)
     again = verify_gauss(q_max=60)
     assert first == again
@@ -72,3 +73,28 @@ def test_compound_sweep_evaluates_identity_once_per_stream(monkeypatch):
     monkeypatch.setattr(verify, "compound_identity_residual", counted)
     assert verify_compound(((5, 7), (11, 13, 17)), 1000).passed
     assert calls == [(5, 7), (11, 13, 17)]
+
+
+def test_sweep_batches_stay_under_the_chunk_cap(monkeypatch):
+    widths = []  # (P, entries per p) of every stacked call
+
+    def probe(fn, width):
+        def probed(*args):
+            out = fn(*args)
+            widths.append(width(out))
+            return out
+        return probed
+
+    monkeypatch.setattr(verify, "gauss_direct_row", probe(verify.gauss_direct_row, np.shape))
+    suites = verify_gauss(q_max=100)
+    assert sum(p * q for p, q in widths) == suites[0].cases  # every row went through a stack
+    assert max(p * q for p, q in widths) <= verify._CHUNK_ELEMS
+    assert max(p for p, _ in widths) > 1
+
+    widths.clear()
+    products = probe(verify.corner_products_stack, lambda out: out[0].shape)
+    monkeypatch.setattr(verify, "corner_products_stack", products)
+    suite = verify_theorem1((3, 8), 40)
+    assert sum(p * k for p, k in widths) == suite.cases
+    assert max(p * k for p, k in widths) <= verify._CHUNK_ELEMS
+    assert max(p for p, _ in widths) > 1
