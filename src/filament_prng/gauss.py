@@ -79,11 +79,8 @@ def gauss_magnitude(p: int, m: int | np.ndarray, q: int) -> float | np.ndarray:
 def _phase_row(scale: np.ndarray, ks: np.ndarray, den: int) -> np.ndarray:
     """exp(2 pi i (scale * ks) / den) with the numerator reduced exactly; a
     column of scales against a row of ks gives one grid of phases, read
-    from the table of den-th roots when that is the smaller one."""
-    ks = scale[..., None] * (ks % den) % den
-    if den <= ks.size:
-        return _unit_roots(den)[ks]
-    return np.exp((2j * np.pi / den) * ks)
+    from the table of den-th roots."""
+    return _unit_roots(den)[scale[..., None] * (ks % den) % den]
 
 
 def closed_row(p: int | np.ndarray, q: int, ms: np.ndarray) -> np.ndarray:
@@ -97,8 +94,10 @@ def closed_row(p: int | np.ndarray, q: int, ms: np.ndarray) -> np.ndarray:
     is 1 for r = 0; 2 at odd m for r = 1; for r >= 2 it is
     exp(pi i phi2 m^2 / 2**(r+1)) (2**r | q' p)(1 - i**(q' p)) sqrt(2**r)
     at even m, with phi2 = (q' p)^-1 mod 2**r.  Both inverses come from
-    pow_row.  At the indices where the magnitude law puts no mass the row
-    holds an exact 0.
+    pow_row.  The phases are read from tables of the q'-th and 2**r-th
+    roots of unity, so a call costs O(q) however few indices it asks for,
+    as gauss_direct_row does.  At the indices where the magnitude law puts
+    no mass the row holds an exact 0.
     """
     ps = _coprime_row(p, q)
     r, q1 = factor_pow2(q)

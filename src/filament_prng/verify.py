@@ -135,9 +135,10 @@ def _polygon_sweep(
     (sides, q, p), with p in batches whose theta rows serve every sides.
 
     Refused before any work when a polygon of the sweep could have more
-    than MAX_POLYGON_CORNERS corners, the budget build_polygon keeps, or
-    when the sweep's corners could exceed MAX_SWEEP_CASES: each sides value
-    and q contributes at most q polygons of sides * q corners.
+    than MAX_POLYGON_CORNERS corners, the budget build_polygon keeps, when
+    the sweep's corners could exceed MAX_SWEEP_CASES (each sides value and
+    q contributes at most q polygons of sides * q corners), or when the
+    sides range is empty.
     """
     sides_lo, sides_hi = sides_range
     if sides_hi * q_max > MAX_POLYGON_CORNERS:
@@ -146,6 +147,8 @@ def _polygon_sweep(
             f"(2**20); M <= {sides_hi} and q <= {q_max} give up to {sides_hi * q_max}"
         )
     _check_sweep(name, max(sides_hi - sides_lo + 1, 0) * sides_hi * max(q_max, 0) ** 3)
+    if sides_lo > sides_hi:  # refused here: the q loop builds theta rows before any sides
+        raise BadParameters(f"{name} sweep has no cases for these parameters")
     rows = []
     for q in range(1, q_max + 1):
         corners = sides_hi * q if q % 2 else sides_hi * q // 2

@@ -165,6 +165,9 @@ def test_bad_subcommand_usage_exit(capsys):
         "verify gauss --qmax 0",
         "verify theorem1 --qmax 0",
         "verify closure -M 5..3",
+        # empty sides ranges whose q loop would be long, refused before it
+        "verify theorem1 -M 4..3 --qmax 262144",
+        "verify closure -M 0..-1 --qmax 1000000000",
         "verify closure --qmax -5",
         "verify compound --pmax 0",
     ],

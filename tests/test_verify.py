@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from filament_prng import prng, verify
-from filament_prng.errors import TooLarge
+from filament_prng.errors import BadParameters, TooLarge
 from filament_prng.prng import MAX_STREAM_SAMPLES
 from filament_prng.verify import (
     SuiteResult,
@@ -41,6 +41,17 @@ def test_sweep_work_budget_refused_before_any_work():
         verify_compound(p_max=MAX_STREAM_SAMPLES + 1)
     # the default sweeps fit: at most 300**3 = 2.7e7 units
     assert 300**3 <= verify.MAX_SWEEP_CASES
+
+
+def test_empty_sides_range_refused_before_any_theta_row(monkeypatch):
+    def untouched(p, q):
+        raise AssertionError("theta rows built for an empty sides range")
+
+    monkeypatch.setattr(verify, "theta_sequence", untouched)
+    with pytest.raises(BadParameters, match="theorem1 sweep has no cases"):
+        verify_theorem1(sides_range=(4, 3), q_max=262_144)
+    with pytest.raises(BadParameters, match="closure sweep has no cases"):
+        verify_closure(sides_range=(0, -1), q_max=10**9)
 
 
 def test_theorem1_sweep_small():
