@@ -15,6 +15,7 @@ here.
 from __future__ import annotations
 
 import sys
+from contextlib import nullcontext
 from typing import Sequence
 
 import numpy as np
@@ -39,6 +40,9 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_USAGE = 2
 EXIT_VERIFY = 3
+
+# Characters (or bytes) per write of an output.
+_EMIT_SLICE = 2**20
 
 _KINDS = ["vfe", "eicg", "eicg-pow2", "lcg", "compound"]
 
@@ -138,16 +142,17 @@ def _check_window(args) -> None:
 
 
 def _emit(payload: str | bytes, path: str | None) -> None:
+    """Write payload to path, or to stdout when path is None, in slices of
+    _EMIT_SLICE: the text layer encodes one slice at a time, never a second
+    copy of the whole output."""
+    binary = isinstance(payload, bytes)
     if path is None:
-        if isinstance(payload, bytes):
-            sys.stdout.buffer.write(payload)
-        else:
-            sys.stdout.write(payload)
-        return
-    mode = "wb" if isinstance(payload, bytes) else "w"
-    kwargs = {} if isinstance(payload, bytes) else {"newline": "\n"}
-    with open(path, mode, **kwargs) as handle:
-        handle.write(payload)
+        target = nullcontext(sys.stdout.buffer if binary else sys.stdout)
+    else:
+        target = open(path, "wb") if binary else open(path, "w", newline="\n")
+    with target as handle:
+        for lo in range(0, len(payload), _EMIT_SLICE):
+            handle.write(payload[lo : lo + _EMIT_SLICE])
 
 
 def _require(value, flag: str):

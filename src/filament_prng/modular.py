@@ -111,16 +111,17 @@ def phi_p(p: int, q: int) -> tuple[int, int]:
     if math.gcd(p, q) != 1:
         raise NotCoprime(f"p={p} and q={q} are not coprime")
     if q % 2 == 1:
-        return mod_inverse(4 * p, q), q
+        return pow(4 * p, -1, q), q
     if q % 4 == 2:
-        return mod_inverse(p, q // 2), q // 2
-    return mod_inverse(p, q), q
+        return pow(p, -1, q // 2), q // 2
+    return pow(p, -1, q), q
 
 
 def coprime_residues(q: int) -> list[int]:
     """Residues 1 <= p < q coprime to q, ascending; empty for q = 1."""
     _check_modulus(q)
-    return [p for p in range(1, q) if math.gcd(p, q) == 1]
+    candidates = np.arange(1, q, dtype=np.int64)
+    return candidates[np.gcd(candidates, q) == 1].tolist()
 
 
 # Witnesses making Miller-Rabin deterministic for all n < 3.3e24.

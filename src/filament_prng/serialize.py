@@ -4,6 +4,14 @@ CSV uses '.' decimals, LF line endings, and 17 significant digits so every
 double round-trips; identical inputs therefore produce byte-identical
 output.  The f64le format is a bare little-endian stream of 64-bit floats
 for feeding external test batteries.
+
+The table writers format rows in blocks of at most `_BLOCK_ROWS`: a block's
+cells are interleaved into one list, row-major, and formatted by a single
+`%` on the row template repeated once per row (`%d` for integer columns,
+`%.17g` for float columns in csv and `%r` in json, the C formatters behind
+`str`, `"{:.17g}"` and `repr`).  The blocks and the surrounding text are
+joined once, so a table costs about twice its output length in memory, and
+no per-row string or per-row tuple is ever built.
 """
 
 from __future__ import annotations
@@ -13,23 +21,44 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-FLOAT_FORMAT = ".17g"
+# Rows per `%` call: large enough that the per-block Python overhead
+# vanishes, small enough that a block's cells stay a few MB.
+_BLOCK_ROWS = 2**14
 
 
-def _rows(columns: Mapping[str, np.ndarray]):
-    """The cells of each row, as Python ints and floats."""
-    return zip(*(column.tolist() for column in columns.values()))
+def _cell(column: np.ndarray, float_format: str) -> str:
+    return "%d" if np.issubdtype(column.dtype, np.integer) else float_format
+
+
+def _length(columns: Mapping[str, np.ndarray]) -> int:
+    """Rows of the table: its shortest column's length, 0 without columns."""
+    return min((len(column) for column in columns.values()), default=0)
+
+
+def _table(columns: Mapping[str, np.ndarray], row: str, sep: str, head: str, tail: str) -> str:
+    """head, then every row formatted by the printf template `row`, rows
+    separated by `sep`, then tail: one `%` per block and one join."""
+    values = list(columns.values())
+    width = len(values)
+    count = _length(columns)
+    parts = [head]
+    for lo in range(0, count, _BLOCK_ROWS):
+        rows = min(count - lo, _BLOCK_ROWS)
+        cells = [None] * (rows * width)
+        for j, column in enumerate(values):
+            cells[j::width] = column[lo : lo + rows].tolist()
+        if lo:
+            parts.append(sep)
+        parts.append(sep.join([row] * rows) % tuple(cells))
+    parts.append(tail)
+    return "".join(parts)
 
 
 def table_csv(columns: Mapping[str, np.ndarray]) -> str:
     """A header of the column names, then one row per index: integer
     columns as integers, float columns with 17 significant digits."""
-    row = ",".join(
-        "{}" if np.issubdtype(column.dtype, np.integer) else "{:" + FLOAT_FORMAT + "}"
-        for column in columns.values()
-    )
-    lines = [",".join(columns)] + [row.format(*cells) for cells in _rows(columns)]
-    return "\n".join(lines) + "\n"
+    row = ",".join(_cell(column, "%.17g") for column in columns.values())
+    return _table(columns, "\n" + row, "", ",".join(columns), "\n")
 
 
 def table_json(columns: Mapping[str, np.ndarray]) -> str:
@@ -37,10 +66,13 @@ def table_json(columns: Mapping[str, np.ndarray]) -> str:
 
     Cells are ints and finite floats, whose repr is what json.dumps writes.
     """
-    fields = ",\n".join(f"    {json.dumps(name)}: {{!r}}" for name in columns)
-    row = "  {{\n" + fields + "\n  }}"
-    rows = [row.format(*cells) for cells in _rows(columns)]
-    return ("[\n" + ",\n".join(rows) + "\n]\n") if rows else "[]\n"
+    if not _length(columns):
+        return "[]\n"
+    fields = ",\n".join(
+        f"    {json.dumps(name).replace('%', '%%')}: {_cell(column, '%r')}"
+        for name, column in columns.items()
+    )
+    return _table(columns, "  {\n" + fields + "\n  }", ",\n", "[\n", "\n]\n")
 
 
 def f64le_bytes(values: np.ndarray | Sequence[float]) -> bytes:

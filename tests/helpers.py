@@ -7,6 +7,7 @@ direct counting, factorization) and never calls the code paths it checks.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -95,3 +96,19 @@ def gauss_direct(a: int, b: int, c: int) -> complex:
     l = np.arange(c, dtype=np.int64)
     k = (((a % c) * (l * l % c)) % c + (b % c) * l) % c
     return complex(np.exp((2j * np.pi / c) * k).sum())
+
+
+def table_csv_by_rows(columns: dict[str, np.ndarray]) -> str:
+    """Reference csv writer, one row at a time: the header, then each row's
+    cells, ints by str and floats by "{:.17g}"."""
+    lines = [",".join(columns)]
+    for cells in zip(*(column.tolist() for column in columns.values())):
+        lines.append(",".join(str(c) if isinstance(c, int) else f"{c:.17g}" for c in cells))
+    return "\n".join(lines) + "\n"
+
+
+def table_json_by_rows(columns: dict[str, np.ndarray]) -> str:
+    """Reference json writer: the rows as objects, through json.dumps."""
+    names = list(columns)
+    cells = zip(*(column.tolist() for column in columns.values()))
+    return json.dumps([dict(zip(names, row)) for row in cells], indent=2) + "\n"
