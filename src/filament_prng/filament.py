@@ -1,12 +1,13 @@
-"""Frame transport along the skew polygon and the closed forms it validates.
+"""The skew polygon at a rational time and the closed forms it validates.
 
 At a rational time p/q the tangent evolution of a regular M-gon under the
 binormal flow is a skew polygon: Mq corners for odd q, Mq/2 for even q.
 Each corner applies a fixed-angle rotation (`rotation_stack`) whose axis
-direction is set by a Gauss-sum phase; transporting an orthonormal frame
-corner to corner gives the triple and scalar products that the closed form
-`z_qm_closed` predicts from a single modular inverse.
-"""
+is set by a Gauss-sum phase; the phases repeat after q (odd q) or q/2
+corners.  The triple and scalar products at a corner pair read its two
+rotations, the closure product is P**M for P the product over one period,
+and `z_qm_closed` predicts both from one modular inverse.  Only
+`build_polygon` transports a frame through every corner."""
 
 from __future__ import annotations
 
@@ -146,8 +147,10 @@ def _ordered_product(mats: np.ndarray) -> np.ndarray:
 
 def closure_residual_stack(sides: int, q: int, thetas: np.ndarray) -> np.ndarray:
     """Frobenius distance of the full-period rotation product from the
-    identity, one per row (..., ·) of theta_sequence(ps, q)."""
-    gap = _ordered_product(_rotations(sides, q, thetas)) - np.eye(3)
+    identity, one per row (..., ·) of theta_sequence(ps, q): P**sides, for
+    P the ordered product over the row's one period of phases."""
+    period = _ordered_product(rotation_stack(corner_angle(sides, q), thetas))
+    gap = np.linalg.matrix_power(period, sides) - np.eye(3)
     flat = gap.reshape(gap.shape[:-2] + (1, 9))
     # (1, 9) @ (9, 1) is the dot product np.linalg.norm takes for one matrix.
     return np.sqrt(flat @ np.swapaxes(flat, -1, -2))[..., 0, 0]
@@ -171,65 +174,53 @@ def build_polygon(config: PolygonConfig) -> np.ndarray:
         )
     q = config.time.q
     rots = _rotations(config.sides, q, theta_sequence(config.time.p, q))
-    tangents = _tangent_rows(rots, np.eye(3))[1 : config.corner_count + 1]
+    tangents = _tangent_rows(rots)
     verts = np.zeros_like(tangents)
     verts[1:] = np.cumsum(config.side_length * tangents[:-1], axis=0)
     return verts
 
 
-def _tangent_rows(rots: np.ndarray, initial: np.ndarray) -> np.ndarray:
-    """Tangent rows (..., K + 2, 3) through one period of the rotation
-    stack (..., K, 3, 3): row i is the tangent before corner i, for
-    i = 0..K+1 (the last entry wraps one corner past the period).
-
-    One (..., 3, 3) frame stack is stepped corner by corner, so a stack of
-    P polygons costs K matrix products, not P K.
-    """
-    steps = np.moveaxis(rots, -3, 0)  # (K, ..., 3, 3): one view per corner
-    frame = np.broadcast_to(initial, steps.shape[1:])
-    rows = np.empty((len(steps) + 2,) + frame.shape[:-1])
-    rows[0] = frame[..., 0, :]
-    for i, rot in enumerate(steps):
+def _tangent_rows(rots: np.ndarray) -> np.ndarray:
+    """Tangent rows (K, 3) through the rotation stack (K, 3, 3): row i is
+    the tangent after corner i, the first row of the frame transported
+    from the identity, one matrix product per corner."""
+    rows = np.empty(rots.shape[:-1])
+    frame = np.eye(3)
+    for i, rot in enumerate(rots):
         frame = rot @ frame
-        rows[i + 1] = frame[..., 0, :]
-    frame = steps[0] @ frame  # phases repeat with period K
-    rows[len(steps) + 1] = frame[..., 0, :]
-    return np.moveaxis(rows, 0, -2)
+        rows[i] = frame[0]
+    return rows
 
 
-def corner_products_stack(
-    sides: int, q: int, thetas: np.ndarray, initial: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def corner_products_stack(sides: int, q: int, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Triple and scalar products (..., K) at every index of the active set,
-    one row per row (..., ·) of theta_sequence(ps, q), in one transported
-    pass of the whole stack.  `initial` replaces the identity starting
-    frame (the products are rotation-invariant, which tests exercise
-    through it).
+    one row per row (..., ·) of theta_sequence(ps, q).
 
-    Index m reads the tangents before, between and after its corner pair:
-    rows (m, m + 1, m + 2), except for q = 2 mod 4, which pairs the corner
-    before m with the one at m and so starts at row m - 1, wrapping m = 0
-    around the period.
+    Index m reads the tangents before, between and after the corner pair
+    (j, j + 1), with j = m except for q = 2 mod 4, which pairs the corner
+    before m with the one at m (j = m - 1, wrapping m = 0 around the
+    period).  In the frame at corner j those tangents are e1, a = R_j[0]
+    and b = (R_(j+1) R_j)[0], so the triple product is a1 b2 - a2 b1 and
+    the scalar product is b0: two rotations per index, no transported
+    frame.  The phases repeat after one row of thetas, so one row of
+    products is computed and tiled sides times.
     """
-    initial = np.eye(3) if initial is None else np.asarray(initial, dtype=float)
-    rows = _tangent_rows(_rotations(sides, q, thetas), initial)
-    count = rows.shape[-2] - 2
-    first = np.arange(count)
+    rots = rotation_stack(corner_angle(sides, q), thetas)  # (..., L, 3, 3)
+    a = rots[..., 0, :]
+    b = (np.roll(a, -1, axis=-2)[..., None, :] @ rots)[..., 0, :]  # R_(j+1)[0] @ R_j
+    triples = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
+    scalars = b[..., 0]
     if q % 4 == 2:
-        first = (first - 1) % count
-    stacked = rows[..., first[:, None] + np.arange(3), :]  # (..., K, 3, 3)
-    triples = np.linalg.det(stacked)
-    scalars = np.einsum("...j,...j->...", stacked[..., 0, :], stacked[..., 2, :])
-    return triples, scalars
+        triples, scalars = np.roll(triples, 1, axis=-1), np.roll(scalars, 1, axis=-1)
+    reps = (1,) * (triples.ndim - 1) + (sides,)
+    return np.tile(triples, reps), np.tile(scalars, reps)
 
 
-def corner_products(
-    config: PolygonConfig, initial: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def corner_products(config: PolygonConfig) -> tuple[np.ndarray, np.ndarray]:
     """All triple and scalar products over the active index set of one
     polygon: the one-row view of corner_products_stack."""
     q = config.time.q
-    return corner_products_stack(config.sides, q, theta_sequence(config.time.p, q), initial)
+    return corner_products_stack(config.sides, q, theta_sequence(config.time.p, q))
 
 
 def circle_row(angle: CornerAngle, u: np.ndarray | float) -> np.ndarray:
@@ -243,18 +234,23 @@ def circle_row(angle: CornerAngle, u: np.ndarray | float) -> np.ndarray:
     return out
 
 
-def z_qm_closed(sides: int, q: int, p: int, m: int | np.ndarray) -> complex | np.ndarray:
+def z_qm_closed(
+    sides: int, q: int, p: int | np.ndarray, m: int | np.ndarray
+) -> complex | np.ndarray:
     """Closed form of triple + i * scalar at quantity index m (an int or an
     int64 index array): i c^2 - i s^2 exp(2 pi i phi (2m+1) / q), or with
     exponent phi m / (q/2) when q = 2 mod 4.
 
-    The index is reduced modulo the denominator before it meets phi, so
-    every int64 product stays below 2**62.
+    p is an int or an int64 array (a column (P, 1) against a row of m gives
+    a (P, len(m)) stack), with one phi_p per p.  The index is reduced
+    modulo the denominator before it meets phi, so every int64 product
+    stays below 2**62.
     """
-    phi, den = phi_p(p, q)
+    phi = np.array([phi_p(v, q)[0] for v in np.ravel(p).tolist()], dtype=np.int64)
+    den = phi_p(1, q)[1]
     m = np.asarray(m, dtype=np.int64)
     if q % 4 == 2:
         k = m % den
     else:
         k = (2 * (m % q) + 1) % q
-    return circle_row(corner_angle(sides, q), phi * k % den / den)[()]
+    return circle_row(corner_angle(sides, q), phi.reshape(np.shape(p)) * k % den / den)[()]

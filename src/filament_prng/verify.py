@@ -1,11 +1,11 @@
-"""Verification sweeps: closed forms against literal summation, geometric
-transport against the closed form, closure of the corner-rotation product,
-and the compound product identity.
+"""Verification sweeps: closed forms against literal summation, the
+two-rotation corner products against the closed form, closure of the
+corner-rotation product as the power of its one-period product, and the
+compound product identity.
 
 Shared by the `verify` CLI subcommand and the acceptance test suite.  Each
 sweep stacks the coprime p of one q into batches of at most _CHUNK_ELEMS
-Gauss-row entries or transported corners.
-"""
+Gauss-row entries or corners."""
 
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ from .prng import MAX_STREAM_SAMPLES, StreamSpec, _compound_states, compound_ide
 MAX_SWEEP_CASES = 2**30
 
 # Largest batch of one sweep step: P values of p share one stack of P * q
-# Gauss-row entries or P * K transported corners, and at least one p is
+# Gauss-row entries or P * K corner products, and at least one p is
 # taken.  The cap keeps the stacks near the size of one default polygon:
 # uncapped stacks raised the peak RSS of the default sweeps by about 17 %.
 _CHUNK_ELEMS = 2**12
@@ -160,12 +160,8 @@ def _polygon_sweep(
 
 def _theorem1_error(sides: int, q: int, ps: np.ndarray, thetas: np.ndarray) -> tuple[float, int]:
     triples, scalars = corner_products_stack(sides, q, thetas)
-    index = np.arange(triples.shape[-1])
-    err = 0.0
-    for p, triple, scalar in zip(ps.tolist(), triples, scalars):
-        closed = z_qm_closed(sides, q, p, index)
-        err = max(err, float(np.max(np.hypot(triple - closed.real, scalar - closed.imag))))
-    return err, triples.size
+    closed = z_qm_closed(sides, q, ps[:, None], np.arange(triples.shape[-1]))
+    return float(np.max(np.hypot(triples - closed.real, scalars - closed.imag))), triples.size
 
 
 def _closure_error(sides: int, q: int, ps: np.ndarray, thetas: np.ndarray) -> tuple[float, int]:
@@ -175,16 +171,18 @@ def _closure_error(sides: int, q: int, ps: np.ndarray, thetas: np.ndarray) -> tu
 def verify_theorem1(
     sides_range: tuple[int, int] = (3, 8), q_max: int = 40
 ) -> SuiteResult:
-    """Geometric triple/scalar products from frame transport against the
-    closed form, for every valid (sides, q, p, m)."""
+    """Triple and scalar products at every corner pair, read from its two
+    corner rotations over one period of phases and tiled over the sides,
+    against the closed form, for every valid (sides, q, p, m)."""
     return _polygon_sweep("theorem1", sides_range, q_max, 1e-8, _theorem1_error)
 
 
 def verify_closure(
     sides_range: tuple[int, int] = (3, 10), q_max: int = 50
 ) -> SuiteResult:
-    """Frobenius residual of the full-period rotation product against the
-    identity, for every valid (sides, q, p)."""
+    """Frobenius residual of the full-period rotation product, the power
+    P**sides of the ordered product P over one period of phases, against
+    the identity, for every valid (sides, q, p)."""
     return _polygon_sweep("closure", sides_range, q_max, 1e-7, _closure_error)
 
 
@@ -203,7 +201,7 @@ def verify_compound(
     rows = []
     for primes in prime_sets:
         spec = StreamSpec.compound(primes)
-        count = sum(1 for p in range(1, p_max + 1) if math.gcd(p, spec.modulus) == 1)
+        count = int(np.count_nonzero(np.gcd(np.arange(1, p_max + 1), spec.modulus) == 1))
         stream = _compound_states(spec, count, 0)
         residual = compound_identity_residual(sides, spec.primes, stream.n, stream.u)
         rows.append((float(np.max(residual, initial=0.0)), len(stream)))

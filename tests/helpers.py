@@ -112,3 +112,56 @@ def table_json_by_rows(columns: dict[str, np.ndarray]) -> str:
     names = list(columns)
     cells = zip(*(column.tolist() for column in columns.values()))
     return json.dumps([dict(zip(names, row)) for row in cells], indent=2) + "\n"
+
+
+def corner_cos(sides: int, q: int) -> float:
+    """cos(rho) of the corner turn: 2 cos^(2/q)(pi/M) - 1 for odd q,
+    2 cos^(4/q)(pi/M) - 1 for even q."""
+    return 2.0 * math.cos(math.pi / sides) ** ((2.0 if q % 2 else 4.0) / q) - 1.0
+
+
+def corner_rotations(sides: int, q: int, thetas: np.ndarray) -> np.ndarray:
+    """(..., L, 3, 3) corner rotations by Rodrigues' formula: a turn by rho
+    about the normal-plane axis u = (0, sin theta, -cos theta),
+    cos(rho) I + sin(rho) [u]x + (1 - cos(rho)) u u^T."""
+    c = corner_cos(sides, q)
+    s = math.sqrt(max(0.0, 1.0 - c * c))
+    zero = np.zeros_like(thetas)
+    u = np.stack([zero, np.sin(thetas), -np.cos(thetas)], axis=-1)
+    cross = np.stack(
+        [
+            np.stack([zero, -u[..., 2], u[..., 1]], axis=-1),
+            np.stack([u[..., 2], zero, -u[..., 0]], axis=-1),
+            np.stack([-u[..., 1], u[..., 0], zero], axis=-1),
+        ],
+        axis=-2,
+    )
+    return c * np.eye(3) + s * cross + (1.0 - c) * u[..., :, None] * u[..., None, :]
+
+
+def transported_products(
+    sides: int, q: int, thetas: np.ndarray, initial: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Triple and scalar products (..., K) by transporting a frame through
+    every corner of the period, for rows (..., L) of corner phases (one row
+    of theta_sequence; the phase at corner j is thetas[j mod L]).
+
+    The frame starts at `initial` (the identity by default) and is stepped
+    F_(j+1) = R_j F_j; t_j = F_j[0] is the tangent before corner j.  Index
+    m reads det(t_j, t_(j+1), t_(j+2)) and t_j . t_(j+2) with j = m, or
+    j = m - 1 (mod K) for q = 2 mod 4.
+    """
+    steps = list(np.moveaxis(corner_rotations(sides, q, thetas), -3, 0))  # R_0 .. R_(L-1)
+    count = sides * len(steps)
+    frame = np.broadcast_to(np.eye(3) if initial is None else initial, steps[0].shape)
+    tangents = np.empty((count + 2,) + frame.shape[:-1])
+    for j in range(count + 2):
+        tangents[j] = frame[..., 0, :]
+        frame = steps[j % len(steps)] @ frame
+    tangents = np.moveaxis(tangents, 0, -2)
+    first = np.arange(count)
+    if q % 4 == 2:
+        first = (first - 1) % count
+    t0, t1, t2 = (tangents[..., first + k, :] for k in range(3))
+    triples = np.sum(t0 * np.cross(t1, t2), axis=-1)
+    return triples, np.sum(t0 * t2, axis=-1)

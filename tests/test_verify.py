@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from filament_prng import prng, verify
+from filament_prng import filament, gauss, modular, prng, verify
+from filament_prng.cli import EXIT_VERIFY, main
 from filament_prng.errors import BadParameters, TooLarge
 from filament_prng.prng import MAX_STREAM_SAMPLES
 from filament_prng.verify import (
@@ -109,3 +110,54 @@ def test_sweep_batches_stay_under_the_chunk_cap(monkeypatch):
     assert sum(p * k for p, k in widths) == suite.cases
     assert max(p * k for p, k in widths) <= verify._CHUNK_ELEMS
     assert max(p for p, _ in widths) > 1
+
+
+def _phi_off_by_one(p, q):
+    phi, den = modular.phi_p(p, q)
+    return (phi + 1) % den, den
+
+
+def _first_row(thetas):
+    return thetas[0] if thetas.ndim == 2 else thetas
+
+
+def _two_phases_swapped(p, q):
+    thetas = gauss.theta_sequence(p, q)
+    row = _first_row(thetas)
+    if len(row) >= 2:
+        row[[0, 1]] = row[[1, 0]]
+    return thetas
+
+
+def _one_phase_perturbed(p, q):
+    thetas = gauss.theta_sequence(p, q)
+    _first_row(thetas)[-1] += 1e-3
+    return thetas
+
+
+@pytest.mark.parametrize(
+    "target,name,fault,failing",
+    [
+        (filament, "phi_p", _phi_off_by_one, ["theorem1"]),
+        (verify, "theta_sequence", _two_phases_swapped, ["theorem1", "closure"]),
+        (verify, "theta_sequence", _one_phase_perturbed, ["theorem1", "closure"]),
+    ],
+)
+def test_polygon_sweeps_report_injected_faults(capsys, monkeypatch, target, name, fault, failing):
+    # a wrong phi in the closed form, or a wrong phase row under the corner
+    # products, fails the sweeps at their unchanged tolerances
+    monkeypatch.setattr(target, name, fault)
+    suites = {"theorem1": verify_theorem1((3, 4), 12), "closure": verify_closure((3, 4), 12)}
+    assert [suite for suite, result in suites.items() if not result.passed] == failing
+    for suite in failing:
+        code = main(["verify", suite, "-M", "3..4", "--qmax", "12"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_VERIFY
+        assert suite in out and "FAIL" in out
+        assert "Traceback" not in out + err
+
+
+def test_compound_case_counts_match_coprime_enumeration():
+    for primes, p_max in [((5, 7), 1000), ((11, 13, 17), 2431), ((7, 11), 1)]:
+        expected = sum(1 for p in range(1, p_max + 1) if all(p % prime for prime in primes))
+        assert verify_compound((primes,), p_max).cases == expected
