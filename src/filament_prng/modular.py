@@ -1,5 +1,6 @@
 """Exact integer arithmetic: modular powers of int64 arrays (`pow_row`, the
-one inversion routine of the streams), inverses, Jacobi symbols, totients.
+one inversion routine of the streams), inverses, Jacobi symbols, totients,
+and windows of the integers coprime to a modulus (`coprime_window`).
 """
 
 from __future__ import annotations
@@ -76,20 +77,27 @@ def jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def euler_totient(q: int) -> int:
-    """Count of 1 <= k <= q coprime to q, via the Euler product."""
-    _check_modulus(q)
-    result = q
-    n = q
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    primes = []
     p = 2
     while p * p <= n:
         if n % p == 0:
-            result -= result // p
+            primes.append(p)
             while n % p == 0:
                 n //= p
         p += 1 if p == 2 else 2
     if n > 1:
-        result -= result // n
+        primes.append(n)
+    return primes
+
+
+def euler_totient(q: int) -> int:
+    """Count of 1 <= k <= q coprime to q, via the Euler product."""
+    _check_modulus(q)
+    result = q
+    for p in _prime_factors(q):
+        result -= result // p
     return result
 
 
@@ -119,9 +127,77 @@ def phi_p(p: int, q: int) -> tuple[int, int]:
 
 def coprime_residues(q: int) -> list[int]:
     """Residues 1 <= p < q coprime to q, ascending; empty for q = 1."""
-    _check_modulus(q)
-    candidates = np.arange(1, q, dtype=np.int64)
-    return candidates[np.gcd(candidates, q) == 1].tolist()
+    return coprime_window(q, 0, euler_totient(q) - (q == 1)).tolist()
+
+
+def _coprime_terms(modulus: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The prime factors of modulus, and its D squarefree divisors d with
+    their Moebius signs mu(d) as int64 rows; D <= 2**9 below 2**31."""
+    primes = _prime_factors(modulus)
+    divisors = np.ones(1, dtype=np.int64)
+    signs = np.ones(1, dtype=np.int64)
+    for p in primes:
+        divisors = np.concatenate([divisors, divisors * p])
+        signs = np.concatenate([signs, -signs])
+    return primes, divisors, signs
+
+
+def _count_coprimes(n: int, modulus: int, divisors: np.ndarray, signs: np.ndarray) -> int:
+    """C(n), the count of 1 <= k <= n coprime to modulus (n >= 0): the sum of
+    mu(d) floor(n / d), with whole periods split off so every term stays
+    below 2**31."""
+    periods, rest = divmod(n, modulus)
+    return periods * int(signs @ (modulus // divisors)) + int(signs @ (rest // divisors))
+
+
+def coprime_count(modulus: int, n: int) -> int:
+    """Count of 1 <= k <= n coprime to modulus; 0 for n < 1."""
+    _check_modulus(modulus)
+    _, divisors, signs = _coprime_terms(modulus)
+    return _count_coprimes(max(n, 0), modulus, divisors, signs)
+
+
+def coprime_window(modulus: int, start: int, count: int) -> np.ndarray:
+    """The start-th through (start + count - 1)-th positive integers coprime
+    to modulus, ascending, as int64; the 0-th is 1.
+
+    The count C(N) of coprimes up to N, a sum of mu(d) floor(N / d) over
+    the D squarefree divisors d of modulus, differs from N phi / modulus by
+    less than D / 2.  So each end of the window is one count and a walk of
+    at most D modulus / phi integers away, and the span between the ends is
+    sieved by the prime factors of modulus: O(log start + count) work.
+    Refused before the span is built when the last value passes the int64
+    bound.
+    """
+    _check_modulus(modulus)
+    if start < 0 or count < 0:
+        raise RangeError(f"coprime window needs start, count >= 0, got {start}, {count}")
+    if count == 0:
+        return np.empty(0, dtype=np.int64)
+    primes, divisors, signs = _coprime_terms(modulus)
+    phi = _count_coprimes(modulus, modulus, divisors, signs)
+
+    def nth(t: int) -> int:
+        """The t-th coprime v (t >= 1, C(v) = t), walked to from below
+        (t - D/2) modulus / phi."""
+        v = max((2 * t - len(divisors)) * modulus // (2 * phi), 0)
+        seen = _count_coprimes(v, modulus, divisors, signs)
+        while seen < t:
+            v += 1
+            seen += math.gcd(v, modulus) == 1
+        return v
+
+    first, last = nth(start + 1), nth(start + count)
+    if last >= 2**63:
+        raise RangeError(
+            f"the coprimes to {modulus} from the {start}-th for {count} pass the int64 bound 2**63 - 1"
+        )
+    mask = np.ones(last - first + 1, dtype=bool)
+    for p in primes:
+        mask[-first % p :: p] = False
+    window = np.flatnonzero(mask).astype(np.int64, copy=False)
+    window += first
+    return window
 
 
 # Witnesses making Miller-Rabin deterministic for all n < 3.3e24.

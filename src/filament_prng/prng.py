@@ -11,7 +11,6 @@ bit-identically.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -21,7 +20,7 @@ import numpy as np
 
 from .errors import BadParameters, BadPrimes, CompositeModulus, InvariantViolation, RangeError, TooLarge
 from .filament import circle_row, corner_angle
-from .modular import MAX_MODULUS, coprime_residues, is_probable_prime, phi_p, pow_row
+from .modular import MAX_MODULUS, coprime_window, euler_totient, is_probable_prime, phi_p, pow_row
 
 # Samples one stream call may return; every stream holds its window in
 # int64 arrays, so the budget bounds memory and time before any work.
@@ -160,21 +159,48 @@ def _indices(start: int, count: int) -> np.ndarray:
     return np.arange(start, start + count, dtype=np.int64)
 
 
+def _affine_power(a: int, b: int, q: int, steps: int) -> tuple[int, int]:
+    """(A, B) such that x -> A x + B mod q is the steps-fold power of
+    x -> a x + b mod q, by square-and-multiply over Python ints, steps >= 0."""
+    A, B = 1 % q, 0
+    a, b = a % q, b % q
+    while steps:
+        if steps & 1:
+            A, B = a * A % q, (a * B + b) % q
+        a, b = a * a % q, (a * b + b) % q
+        steps >>= 1
+    return A, B
+
+
 def lcg_stream(spec: StreamSpec, count: int, start: int = 0) -> Stream:
-    """x_{n+1} = a x_n + b mod q from x0, normalized to u_n = x_n / q."""
+    """x_{n+1} = a x_n + b mod q from x0, normalized to u_n = x_n / q.
+
+    The first state is x0 under the start-fold map, by jump-ahead (F. Brown,
+    "Random number generation with arbitrary strides", 1994); the window is
+    then filled by doubling: block [f, 2f) is A_f x[:f] + B_f mod q, with
+    (A_f, B_f) the f-fold map, squared after each block.  Every operand is
+    reduced below q <= 2**31, so products stay below 2**62, and the work is
+    O(log start + count) with no array beyond the indices and states.
+    """
     _expect(spec, StreamKind.LCG)
+    if start < 0:
+        raise RangeError(f"lcg window needs start >= 0, got {start}")
     indices = _indices(start, count)
-    q, a, b = spec.q, spec.a, spec.b
-    x = spec.x0 % q
-    for _ in range(start):
-        x = (a * x + b) % q
-
-    def states(x: int):
-        while True:
-            yield x
-            x = (a * x + b) % q
-
-    return Stream(indices, np.fromiter(states(x), np.int64, len(indices)), q)
+    q = spec.q
+    x = np.empty(len(indices), dtype=np.int64)
+    if len(x):
+        jump, shift = _affine_power(spec.a, spec.b, q, start)
+        x[0] = (jump * spec.x0 + shift) % q
+        step, offset = spec.a % q, spec.b % q
+        filled = 1
+        while filled < len(x):
+            block = x[filled : 2 * filled]
+            np.multiply(x[: len(block)], step, out=block)
+            block += offset
+            block %= q
+            step, offset = step * step % q, (step * offset + offset) % q
+            filled += len(block)
+    return Stream(indices, x, q)
 
 
 def _inversive_stream(spec: StreamSpec, count: int, start: int, exponent: int) -> Stream:
@@ -211,16 +237,18 @@ def vfe_unit_samples(q: int, start: int = 0, count: int | None = None) -> Stream
     (all the rest when None) from the start-th.
 
     For prime q these coincide with eicg_stream(q, a=4, b=0) at indices p.
-    The residues of the whole period are listed, so q - 1 is held to
-    MAX_STREAM_SAMPLES, but phi is taken only inside the window.
+    The window's residues come from coprime_window, truncated at the
+    phi(q) - start residues left in the period (none for q = 1, whose
+    period [1, 1) is empty), and phi is taken once per residue of the
+    window.  The period q - 1 is held to MAX_STREAM_SAMPLES.
     """
     if start < 0 or (count is not None and count < 0):
         raise RangeError(f"vfe window needs start, count >= 0, got {start}, {count}")
     _check_budget(q - 1)
-    stop = None if count is None else start + count
-    residues = coprime_residues(q)[start:stop]
-    phis = np.fromiter((phi_p(p, q)[0] for p in residues), np.int64, len(residues))
-    return Stream(np.array(residues, dtype=np.int64), phis, phi_p(1, q)[1])
+    left = max(euler_totient(q) - (q == 1) - start, 0)
+    residues = coprime_window(q, start, left if count is None else min(count, left))
+    phis = np.fromiter((phi_p(p, q)[0] for p in residues.tolist()), np.int64, len(residues))
+    return Stream(residues, phis, phi_p(1, q)[1])
 
 
 def compound_identity_residual(
@@ -243,12 +271,13 @@ def compound_identity_residual(
 
 
 def _compound_states(spec: StreamSpec, count: int, start: int) -> Stream:
-    """The compound states x_p, assembled exactly over prod(q_j) <= 2**31 by
-    the Chinese remainder theorem (a sum of terms below it), unchecked."""
-    _indices(start, count)  # refused before the O(start) walk below
+    """The compound states x_p at the count admissible indices p from the
+    start-th, in O(log start + count) through coprime_window, assembled
+    exactly over prod(q_j) <= 2**31 by the Chinese remainder theorem (a sum
+    of terms below it), unchecked."""
+    _check_budget(count)
     modulus = spec.modulus
-    coprime = (p for p in itertools.count(1) if math.gcd(p, modulus) == 1)
-    ns = np.fromiter(itertools.islice(coprime, start, start + count), np.int64, count)
+    ns = coprime_window(modulus, start, count)
     x = sum(pow_row(ns % qj * 4, qj - 2, qj) * (modulus // qj) for qj in spec.primes)
     return Stream(ns, x % modulus, modulus)
 

@@ -68,6 +68,52 @@ def sieve_primes(limit: int) -> list[int]:
     return [i for i, f in enumerate(flags) if f]
 
 
+def lcg_reference(a: int, b: int, q: int, x0: int, start: int, count: int) -> list[int]:
+    """States x_n of x_(n+1) = a x_n + b mod q at n = start, ..., start +
+    count - 1, each from its closed form alone: x_n = x0 + b n for a = 1
+    mod q, else a^n x0 + b (a^n - 1) / (a - 1), the division made exact by
+    taking a^n mod (a - 1) q (a is lifted to [2, q] first)."""
+    lifted = a % q or q
+    states = []
+    for n in range(start, start + count):
+        if lifted == 1:
+            states.append((x0 + b * n) % q)
+            continue
+        power = pow(lifted, n, (lifted - 1) * q)
+        states.append((power * x0 + b * ((power - 1) // (lifted - 1))) % q)
+    return states
+
+
+def _legendre_count(n: int, primes: list[int]) -> int:
+    """Integers 1 <= k <= n divisible by none of the primes, by Legendre's
+    recursion phi(n, a) = phi(n, a - 1) - phi(n // p_a, a - 1)."""
+    if not primes or n == 0:
+        return n
+    *rest, last = primes
+    return _legendre_count(n, rest) - _legendre_count(n // last, rest)
+
+
+def coprime_reference(m: int, start: int, count: int) -> list[int]:
+    """The start-th through (start + count - 1)-th positive integers coprime
+    to m (the 0-th is 1), enumerated with math.gcd from the start-th one,
+    which bisection on Legendre's count over the factorization of m finds;
+    values may pass 2**63."""
+    primes = sorted(factorize(m))
+    lo, hi = 1, (start + 1) * m  # each run of m integers holds a coprime
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _legendre_count(mid, primes) > start:
+            hi = mid
+        else:
+            lo = mid + 1
+    values = []
+    while len(values) < count:
+        if math.gcd(lo, m) == 1:
+            values.append(lo)
+        lo += 1
+    return values
+
+
 def star_discrepancy_oracle(points: np.ndarray) -> float:
     """Brute-force star discrepancy: every grid corner from the coordinate
     values union {1}, counting both open and closed boxes directly."""

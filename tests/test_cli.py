@@ -147,6 +147,8 @@ def test_bad_subcommand_usage_exit(capsys):
         "generate --kind eicg-pow2 --omega 6 -n 2 --start 100000000000000000000",
         "generate --kind lcg -a 3 -b 1 -q 101 --start 9223372036854775808 -n 1",
         "generate --kind compound --primes 5,7 --start 9223372036854775808 -n 1",
+        # its last admissible p, near 35/24 of the start, passes int64
+        "generate --kind compound --primes 5,7 --start 9223372036854775000 -n 4",
         # polygon sweeps beyond the corner budget, refused before any work
         "verify closure -M 1000000000 --qmax 6",
         "verify theorem1 -M 3..1000000000 --qmax 6",
@@ -430,20 +432,16 @@ def argvs(draw):
     In about half the examples every option takes a valid value and the
     options a command needs are present; in the rest any option may be
     missing or take any pooled value.
-
-    Left out because its cost is known to be unbounded: an --start below
-    2**63 but far from 0 for lcg or compound (both step through every
-    earlier index).
     """
     valid = draw(st.booleans())
 
-    def option(flag, pool, needed=False, always=False, exclude=()):
+    def option(flag, pool, needed=False, always=False):
         """[flag, value], or [] for an option left out.  An option the
         command needs is given in every valid example, an `always` option
         in every example."""
         if not always and not (valid and needed) and draw(st.booleans()):
             return []
-        values = pool[0] if valid else [v for v in pool[0] + pool[1] if v not in exclude]
+        values = pool[0] if valid else pool[0] + pool[1]
         return [flag, str(draw(st.sampled_from(values)))]
 
     command = draw(st.sampled_from(["generate", "serial", "chi2", "randu-planes", "verify", "polygon"]))
@@ -468,7 +466,6 @@ def argvs(draw):
         return ["stats", "randu-planes"] + option("-n", ([3, 256], COUNTS[0] + COUNTS[1]), always=True)
     kind = draw(st.sampled_from(sorted(NEEDED)))
     needed = NEEDED[kind]
-    unbounded_start = [2**63 - 1] if kind in ("lcg", "compound") else []
     argv = [command] if command == "generate" else ["stats", command]
     argv += (
         ["--kind", kind]
@@ -480,7 +477,7 @@ def argvs(draw):
         + option("--omega", OMEGAS, "--omega" in needed)
         + option("--primes", PRIME_LISTS, "--primes" in needed)
         + option("-n", COUNTS, "-n" in needed)
-        + option("--start", STARTS, exclude=unbounded_start)
+        + option("--start", STARTS)
     )
     if command == "generate":
         return argv + option("--format", (["csv", "json", "f64le"], []))

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from filament_prng.errors import EvenModulus, NotCoprime, NotInvertible, RangeError
 from filament_prng.modular import (
     MAX_MODULUS,
+    coprime_count,
     coprime_residues,
+    coprime_window,
     euler_totient,
     factor_pow2,
     is_probable_prime,
@@ -18,7 +20,7 @@ from filament_prng.modular import (
     pow_row,
 )
 from filament_prng.prng import StreamSpec, eicg_stream
-from helpers import jacobi_by_factorization, sieve_primes, totient_by_count
+from helpers import coprime_reference, jacobi_by_factorization, sieve_primes, totient_by_count
 
 PRIMES_1K = sieve_primes(1000)
 
@@ -181,6 +183,55 @@ def test_phi_p_bijection_on_units():
         assert len(set(values)) == len(residues)
         eff = phi_p(residues[0], q)[1]
         assert set(values) == {v for v in range(eff) if math.gcd(v, eff) == 1}
+
+
+# Moduli of the window tests: the unit ring, small primes, powers of two, the
+# largest prime and power of two accepted, and the largest primorial below
+# 2**31, whose 2**9 squarefree divisors are the most a modulus can have.
+WINDOW_MODULI = [1, 2, 3, 101, 2**16, 2**31 - 1, 2**31, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23]
+WINDOW_STARTS = [0, 1, 10**6, 10**18, 2**63 - 4]
+WINDOW_COUNTS = [0, 1, 2, 3] + [2**k + d for k in (2, 5, 9) for d in (-1, 1)]
+
+
+@pytest.mark.parametrize("m", WINDOW_MODULI)
+def test_coprime_window_matches_enumeration(m):
+    for start in WINDOW_STARTS:
+        for count in WINDOW_COUNTS:
+            expected = coprime_reference(m, start, count)
+            if expected and expected[-1] >= 2**63:
+                with pytest.raises(RangeError):
+                    coprime_window(m, start, count)
+                continue
+            window = coprime_window(m, start, count)
+            assert window.dtype == np.int64
+            assert window.tolist() == expected, (start, count)
+
+
+def test_coprime_window_small_moduli_match_enumeration():
+    for m in range(1, 200):
+        units = [k for k in range(1, 4 * m + 200) if math.gcd(k, m) == 1]
+        for start in (0, 1, len(units) // 3):
+            assert coprime_window(m, start, 20).tolist() == units[start : start + 20]
+        assert coprime_count(m, 4 * m + 199) == len(units)
+    assert coprime_count(35, 0) == coprime_count(35, -5) == 0
+
+
+@pytest.mark.parametrize("m", WINDOW_MODULI)
+def test_coprime_windows_concatenate(m):
+    s = 10**12
+    for a, b in [(0, 5), (1, 1), (3, 2**5 + 1), (2**9 - 1, 2)]:
+        whole = coprime_window(m, s, a + b).tolist()
+        assert whole == coprime_window(m, s, a).tolist() + coprime_window(m, s + a, b).tolist()
+
+
+def test_coprime_window_refusals():
+    for start, count in [(-1, 3), (0, -1)]:
+        with pytest.raises(RangeError):
+            coprime_window(35, start, count)
+    with pytest.raises(RangeError):
+        coprime_window(35, 7 * 10**18, 4)  # the last value, near 35/24 of it, passes int64
+    with pytest.raises(RangeError):
+        coprime_window(MAX_MODULUS + 1, 0, 1)
 
 
 def test_range_guard():

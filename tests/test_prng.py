@@ -1,5 +1,7 @@
 import cmath
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,7 @@ from filament_prng.prng import (
     randu_preset,
     vfe_unit_samples,
 )
+from helpers import coprime_reference, lcg_reference
 
 
 def assert_concatenates(whole: Stream, head: Stream, tail: Stream) -> None:
@@ -99,6 +102,61 @@ def test_lcg_restart_is_bit_identical():
     assert_concatenates(
         lcg_stream(spec, 40), lcg_stream(spec, 20), lcg_stream(spec, 20, start=20)
     )
+
+
+# Moduli of the jump-ahead tests: the unit ring, small primes, powers of
+# two, the largest prime and power of two accepted, and the largest
+# primorial below 2**31.
+LCG_MODULI = [1, 2, 3, 101, 2**16, 2**31 - 1, 2**31, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23]
+LCG_STARTS = [0, 1, 10**6, 10**18, 2**63 - 4]
+# Doubling fills blocks of 1, 2, 4, ...: counts 2**k +- 1 end on a short block.
+LCG_COUNTS = [0, 1, 2, 3] + [2**k + d for k in (2, 3, 4, 7, 10) for d in (-1, 1)]
+
+
+@pytest.mark.parametrize("q", LCG_MODULI)
+def test_lcg_matches_closed_form_reference(q):
+    rng = random.Random(q)
+    for a in [0, 1, q - 1, -rng.randrange(1, 3 * q + 2), q + 1 + rng.randrange(3 * q)]:
+        b = rng.choice([-1, 1]) * rng.randrange(4 * q + 3)
+        x0 = rng.randrange(-q, 3 * q + 1)
+        spec = StreamSpec.lcg(a, b, q, x0)
+        for start in LCG_STARTS:
+            for count in LCG_COUNTS:
+                if start + count > 2**63:
+                    with pytest.raises(RangeError):
+                        lcg_stream(spec, count, start)
+                    continue
+                stream = lcg_stream(spec, count, start)
+                assert stream.n.tolist() == list(range(start, start + count))
+                assert stream.x.tolist() == lcg_reference(a, b, q, x0, start, count), (a, start, count)
+
+
+def test_lcg_windows_concatenate_far_out():
+    s = 10**12
+    for spec in [randu_preset(), StreamSpec.lcg(a=69069, b=1, q=2**31 - 1, x0=7)]:
+        for a, b in [(0, 5), (1, 1), (3, 2**5 + 1), (2**9 - 1, 2)]:
+            assert_concatenates(lcg_stream(spec, a + b, s), lcg_stream(spec, a, s), lcg_stream(spec, b, s + a))
+
+
+def test_lcg_window_holds_only_its_indices_and_states():
+    # The fill doubles in place inside the state array: the traced peak is
+    # the index and state arrays, 2 * 8 bytes per sample, and no Python list.
+    count = 2**18
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        stream = lcg_stream(randu_preset(), count, 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(stream) == count
+    assert peak - before < 2.25 * 8 * count
+
+
+def test_lcg_refuses_negative_start():
+    with pytest.raises(RangeError):
+        lcg_stream(randu_preset(), 3, -1)
 
 
 def test_stream_record_protocol():
@@ -236,6 +294,16 @@ def test_vfe_window_is_a_slice_of_the_period(monkeypatch):
         vfe_unit_samples(101, -1, 3)
 
 
+def test_vfe_window_at_the_budget_matches_eicg():
+    # q - 1 = 2**24 - 4: the window is placed without listing the period
+    q = 16777213
+    window = vfe_unit_samples(q, 10**6, 4)
+    eicg = eicg_stream(StreamSpec.eicg(q), 4, 10**6 + 1)
+    assert window.n.tolist() == eicg.n.tolist() == list(range(10**6 + 1, 10**6 + 5))
+    assert window.x.tolist() == eicg.x.tolist()
+    assert window.modulus == eicg.modulus == q
+
+
 def test_vfe_phases_match_eicg_for_prime_q():
     q = 101
     phases = vfe_unit_samples(q)
@@ -266,10 +334,17 @@ def test_compound_skips_inadmissible_indices():
 
 
 def test_compound_states_match_python_crt():
-    # Python-int CRT per index, at a product just below 2**31 and with 8 primes
-    for primes, start in [((46337, 46327), 10**5), ((5, 7, 11, 13, 17, 19, 23, 29), 777)]:
+    # Python-int CRT per index, at a product just below 2**31, with 8 primes
+    # and at far-out starts, whose indices are checked by enumeration
+    for primes, start in [
+        ((46337, 46327), 10**5),
+        ((5, 7, 11, 13, 17, 19, 23, 29), 777),
+        ((5, 7), 10**12),
+        ((11, 13, 17), 10**15),
+    ]:
         samples = compound_stream(3, primes, 64, start)
         modulus = math.prod(primes)
+        assert samples.n.tolist() == coprime_reference(modulus, start, 64)
         for n, x in zip(samples.n.tolist(), samples.x.tolist()):
             expected = sum(mod_inverse(4 * n, qj) * (modulus // qj) for qj in primes) % modulus
             assert x == expected
@@ -305,7 +380,7 @@ def test_stream_sample_budget_refused_before_any_work():
     with pytest.raises(TooLarge):
         eicg_pow2_stream(StreamSpec.eicg_pow2(31), 2**30)
     with pytest.raises(TooLarge):
-        lcg_stream(randu_preset(), over, start=2**40)  # no O(start) skip either
+        lcg_stream(randu_preset(), over, start=2**40)  # before the jump-ahead
     with pytest.raises(TooLarge):
         compound_stream(3, (5, 7), over)
     with pytest.raises(TooLarge):

@@ -87,6 +87,25 @@ def test_compound_sweep_evaluates_identity_once_per_stream(monkeypatch):
     assert calls == [(5, 7), (11, 13, 17)]
 
 
+def test_compound_sweep_windows_give_the_whole_stream_result(monkeypatch):
+    whole = verify_compound(((5, 7), (11, 13, 17)), 3000)
+    sizes = []
+    residual = prng.compound_identity_residual
+
+    def counted(sides, primes, ps, u):
+        sizes.append(len(ps))
+        out = residual(sides, primes, ps, u)
+        return np.full(len(ps), np.nan) if len(sizes) == 8 else out
+
+    monkeypatch.setattr(verify, "_COMPOUND_WINDOW", 500)
+    assert verify_compound(((5, 7), (11, 13, 17)), 3000) == whole
+    monkeypatch.setattr(verify, "compound_identity_residual", counted)
+    windowed = verify_compound(((5, 7), (11, 13, 17)), 3000)
+    assert windowed.cases == whole.cases == sum(sizes)
+    assert max(sizes) == 500 and len(sizes) == 5 + 5  # 2058 and 2238 admissible p
+    assert not windowed.passed  # a NaN residual in any window fails the suite
+
+
 def test_sweep_batches_stay_under_the_chunk_cap(monkeypatch):
     widths = []  # (P, entries per p) of every stacked call
 
