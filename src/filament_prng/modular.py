@@ -1,6 +1,7 @@
-"""Exact integer arithmetic: modular powers of int64 arrays (`pow_row`, the
-one inversion routine of the streams), inverses, Jacobi symbols, totients,
-and windows of the integers coprime to a modulus (`coprime_window`).
+"""Exact integer arithmetic: modular powers of int64 arrays (`pow_row`) and
+`inverse_row`, the one inversion routine; the inverse map phi over an array
+(`phi_row`); `coprime_row`, the one coprimality check; Jacobi symbols,
+totients, and windows of the integers coprime to a modulus (`coprime_window`).
 """
 
 from __future__ import annotations
@@ -42,6 +43,24 @@ def pow_row(v: np.ndarray, e: int, n: int) -> np.ndarray:
     return result
 
 
+def inverse_row(v: np.ndarray, n: int) -> np.ndarray:
+    """v**-1 mod n over an int64 array whose entries are units mod n, by
+    Euler's theorem v**(phi(n) - 1); the callers ensure the precondition."""
+    return pow_row(v, euler_totient(n) - 1, n)
+
+
+def coprime_row(p: int | np.ndarray, q: int) -> np.ndarray:
+    """p (an int or an int64 array) reduced into [0, q) as int64, refused
+    unless every entry is coprime to q; Python ints of any size are reduced
+    before they meet the fixed-width array."""
+    _check_modulus(q)
+    ps = np.asarray(np.asarray(p) % q, dtype=np.int64)
+    shared = np.gcd(ps, q) != 1
+    if shared.any():
+        raise NotCoprime(f"p={p if ps.ndim == 0 else ps[shared][0]} and q={q} are not coprime")
+    return ps
+
+
 def mod_inverse(a: int, n: int) -> int:
     """Inverse of a modulo n by the extended Euclidean algorithm.
 
@@ -78,14 +97,17 @@ def jacobi(a: int, n: int) -> int:
 
 
 def _prime_factors(n: int) -> list[int]:
-    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    """The distinct primes dividing n >= 1, ascending, by trial division that
+    stops once the cofactor left is prime, tested on n and after each factor."""
     primes = []
     p = 2
-    while p * p <= n:
+    cofactor_prime = is_probable_prime(n)
+    while not cofactor_prime and p * p <= n:
         if n % p == 0:
             primes.append(p)
             while n % p == 0:
                 n //= p
+            cofactor_prime = is_probable_prime(n)
         p += 1 if p == 2 else 2
     if n > 1:
         primes.append(n)
@@ -108,26 +130,34 @@ def factor_pow2(q: int) -> tuple[int, int]:
     return r, q >> r
 
 
-def phi_p(p: int, q: int) -> tuple[int, int]:
-    """(phi, effective modulus) of the inverse map driving the
-    tangent-evolution phases.
+def _phi_class(q: int) -> tuple[int, int]:
+    """(scale, den) with phi(p) = (scale p)^-1 mod den: (4, q) for odd q,
+    (1, q/2) when q = 2 mod 4, (1, q) when q = 0 mod 4."""
+    if q % 2 == 1:
+        return 4, q
+    if q % 4 == 2:
+        return 1, q // 2
+    return 1, q
 
-    (4p)^-1 mod q for odd q; p^-1 mod (q/2) when q = 2 mod 4; p^-1 mod q
-    when q = 0 mod 4.  The effective modulus is the ring phi lives in.
+
+def phi_row(p: int | np.ndarray, q: int) -> tuple[np.ndarray, int]:
+    """(phi, effective modulus) of the inverse map driving the
+    tangent-evolution phases, over an int or an int64 array of p coprime
+    to q: (4p)^-1 mod q for odd q; p^-1 mod (q/2) when q = 2 mod 4; p^-1
+    mod q when q = 0 mod 4.  The effective modulus is the ring phi lives in.
     """
+    ps = coprime_row(p, q)
+    scale, den = _phi_class(q)
+    return inverse_row(scale * ps, den), den
+
+
+def phi_p(p: int, q: int) -> tuple[int, int]:
+    """The scalar form of phi_row: (phi, effective modulus) for one int p."""
     _check_modulus(q)
     if math.gcd(p, q) != 1:
         raise NotCoprime(f"p={p} and q={q} are not coprime")
-    if q % 2 == 1:
-        return pow(4 * p, -1, q), q
-    if q % 4 == 2:
-        return pow(p, -1, q // 2), q // 2
-    return pow(p, -1, q), q
-
-
-def coprime_residues(q: int) -> list[int]:
-    """Residues 1 <= p < q coprime to q, ascending; empty for q = 1."""
-    return coprime_window(q, 0, euler_totient(q) - (q == 1)).tolist()
+    scale, den = _phi_class(q)
+    return pow(scale * p, -1, den), den
 
 
 def _coprime_terms(modulus: int) -> tuple[list[int], np.ndarray, np.ndarray]:

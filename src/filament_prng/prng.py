@@ -20,7 +20,15 @@ import numpy as np
 
 from .errors import BadParameters, BadPrimes, CompositeModulus, InvariantViolation, RangeError, TooLarge
 from .filament import circle_row, corner_angle
-from .modular import MAX_MODULUS, coprime_window, euler_totient, is_probable_prime, phi_p, pow_row
+from .modular import (
+    MAX_MODULUS,
+    coprime_window,
+    euler_totient,
+    inverse_row,
+    is_probable_prime,
+    phi_p,
+    phi_row,
+)
 
 # Samples one stream call may return; every stream holds its window in
 # int64 arrays, so the budget bounds memory and time before any work.
@@ -149,8 +157,10 @@ def _check_budget(count: int) -> None:
 
 def _indices(start: int, count: int) -> np.ndarray:
     """The int64 stream indices start, ..., start + count - 1, refused before
-    any work unless the first and the last fit an int64 exactly and the
-    count is within MAX_STREAM_SAMPLES."""
+    any work unless start and count are nonnegative, the last index fits an
+    int64 exactly and the count is within MAX_STREAM_SAMPLES."""
+    if start < 0 or count < 0:
+        raise RangeError(f"stream window needs start, count >= 0, got {start}, {count}")
     if start + max(count, 1) > 2**63:
         raise RangeError(
             f"stream indices from {start} for {count} samples exceed the int64 bound 2**63 - 1"
@@ -183,8 +193,6 @@ def lcg_stream(spec: StreamSpec, count: int, start: int = 0) -> Stream:
     O(log start + count) with no array beyond the indices and states.
     """
     _expect(spec, StreamKind.LCG)
-    if start < 0:
-        raise RangeError(f"lcg window needs start >= 0, got {start}")
     indices = _indices(start, count)
     q = spec.q
     x = np.empty(len(indices), dtype=np.int64)
@@ -203,22 +211,22 @@ def lcg_stream(spec: StreamSpec, count: int, start: int = 0) -> Stream:
     return Stream(indices, x, q)
 
 
-def _inversive_stream(spec: StreamSpec, count: int, start: int, exponent: int) -> Stream:
-    """x_n = (a n + b)^exponent mod q, 0 -> 0; n is reduced mod q first, so a n fits an int64."""
+def _inversive_stream(spec: StreamSpec, count: int, start: int) -> Stream:
+    """x_n = (a n + b)^-1 mod q, 0 -> 0; n is reduced mod q first, so a n fits an int64."""
     indices = _indices(start, count)
     q = spec.q
     v = (spec.a % q * (indices % q) + spec.b % q) % q
-    return Stream(indices, pow_row(v, exponent, q) * (v != 0), q)
+    return Stream(indices, inverse_row(v, q) * (v != 0), q)
 
 
 def eicg_stream(spec: StreamSpec, count: int, start: int = 0) -> Stream:
     """Explicit inversive stream x_n = (a n + b)^-1 mod prime q, 0 -> 0.
 
-    Inverses follow Fermat's route v^(q-2) mod q; one full period visits
-    every residue of Z_q exactly once.
+    Inverses come from inverse_row (Fermat's route v^(q-2) mod q); one full
+    period visits every residue of Z_q exactly once.
     """
     _expect(spec, StreamKind.EICG)
-    return _inversive_stream(spec, count, start, spec.q - 2)
+    return _inversive_stream(spec, count, start)
 
 
 def eicg_pow2_stream(spec: StreamSpec, count: int, start: int = 0) -> Stream:
@@ -228,7 +236,7 @@ def eicg_pow2_stream(spec: StreamSpec, count: int, start: int = 0) -> Stream:
     2**(omega-1), and one period visits exactly the odd residues.
     """
     _expect(spec, StreamKind.EICG_POW2)
-    return _inversive_stream(spec, count, start, spec.q // 2 - 1)  # Euler: phi(q) = q/2
+    return _inversive_stream(spec, count, start)
 
 
 def vfe_unit_samples(q: int, start: int = 0, count: int | None = None) -> Stream:
@@ -264,8 +272,7 @@ def compound_identity_residual(
     lhs = np.ones(len(ps), dtype=complex)
     for qj in primes:
         angle = corner_angle(sides, qj)
-        phases = pow_row(ps % qj * 4, qj - 2, qj)
-        z = circle_row(angle, phases / qj)
+        z = circle_row(angle, phi_row(ps, qj)[0] / qj)
         lhs *= (angle.cos_rho**2 + 1j * z) / angle.sin_rho**2
     return np.abs(lhs - np.exp(2j * math.pi * np.asarray(u, dtype=float)))
 
@@ -278,7 +285,7 @@ def _compound_states(spec: StreamSpec, count: int, start: int) -> Stream:
     _check_budget(count)
     modulus = spec.modulus
     ns = coprime_window(modulus, start, count)
-    x = sum(pow_row(ns % qj * 4, qj - 2, qj) * (modulus // qj) for qj in spec.primes)
+    x = sum(phi_row(ns, qj)[0] * (modulus // qj) for qj in spec.primes)
     return Stream(ns, x % modulus, modulus)
 
 

@@ -23,7 +23,7 @@ from .filament import (
     z_qm_closed,
 )
 from .gauss import active_indices, closed_row, gauss_direct_row, gauss_magnitude, theta_sequence
-from .modular import coprime_count, coprime_residues
+from .modular import coprime_count, coprime_window, euler_totient
 from .prng import MAX_STREAM_SAMPLES, StreamSpec, _compound_states, compound_identity_residual
 
 # Work budget of one sweep, in units of one matrix or Gauss-sum term: an
@@ -64,7 +64,7 @@ class SuiteResult:
 
 def _sweep_residues(q: int) -> np.ndarray:
     """Coprime p values used by the sweeps, as int64; q = 1 contributes p = 1."""
-    return np.array(coprime_residues(q) or [1], dtype=np.int64)
+    return coprime_window(q, 0, euler_totient(q))
 
 
 def _chunks(ps: np.ndarray, width: int) -> Iterator[np.ndarray]:

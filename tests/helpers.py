@@ -23,6 +23,11 @@ def inverse_by_search(a: int, n: int) -> int | None:
     return None
 
 
+def coprimes_by_gcd(q: int) -> list[int]:
+    """Residues 1 <= p < q coprime to q, ascending; empty for q = 1."""
+    return [p for p in range(1, q) if math.gcd(p, q) == 1]
+
+
 def totient_by_count(q: int) -> int:
     return sum(1 for k in range(1, q + 1) if math.gcd(k, q) == 1)
 

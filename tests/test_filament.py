@@ -22,9 +22,8 @@ from filament_prng.filament import (
     z_qm_closed,
 )
 from filament_prng.gauss import active_indices, theta_sequence
-from filament_prng.modular import coprime_residues
 
-from helpers import transported_products
+from helpers import coprimes_by_gcd, transported_products
 
 
 def config(sides, p, q):
@@ -224,7 +223,7 @@ def test_products_match_closed_form_examples(sides, q, p, m):
 def test_products_match_closed_form_sweep():
     for sides in (3, 4, 5):
         for q in range(1, 16):
-            for p in coprime_residues(q) or [1]:
+            for p in coprimes_by_gcd(q) or [1]:
                 cfg = config(sides, p, q)
                 triples, scalars = corner_products(cfg)
                 for m in range(cfg.corner_count):
@@ -259,7 +258,7 @@ def test_corner_products_match_transported_oracle():
     # every coprime (p, q <= 60) and M = 3..8: the two-rotation products
     # against a frame transported through every corner (gap at most 2.7e-14)
     for q in range(1, 61):
-        ps = np.array(coprime_residues(q) or [1], dtype=np.int64)
+        ps = np.array(coprimes_by_gcd(q) or [1], dtype=np.int64)
         thetas = theta_sequence(ps, q)
         for sides in range(3, 9):
             triples, scalars = corner_products_stack(sides, q, thetas)
@@ -274,7 +273,7 @@ def test_large_q_products_in_every_class(q):
     # q = 1 mod 4 (prime), 3 mod 4, 2 mod 4, 0 mod 4 near 2**12, and the
     # prime 2**16 + 1 with its 2 mod 4 neighbour, for three seeded p each
     rng = np.random.default_rng(q)
-    ps = np.sort(rng.choice(coprime_residues(q), 3, replace=False)).astype(np.int64)
+    ps = np.sort(rng.choice(coprimes_by_gcd(q), 3, replace=False)).astype(np.int64)
     thetas = theta_sequence(ps, q)
     for sides in (3, 5):
         triples, scalars = corner_products_stack(sides, q, thetas)
@@ -306,7 +305,7 @@ def test_z_qm_closed_circle_invariant():
     for sides, q in [(3, 7), (4, 12), (5, 10), (6, 9)]:
         angle = corner_angle(sides, q)
         center = 1j * angle.cos_rho**2
-        for p in coprime_residues(q)[:6]:
+        for p in coprimes_by_gcd(q)[:6]:
             cfg = config(sides, p, q)
             for m in range(cfg.corner_count):
                 z = z_qm_closed(sides, q, p, m)
@@ -350,7 +349,7 @@ def test_stacked_rows_equal_single_polygon_rows():
     # coprime p equal, bit for bit, those of each polygon on its own
     polygons = 0
     for q in range(1, 41):
-        ps = np.array(coprime_residues(q) or [1], dtype=np.int64)
+        ps = np.array(coprimes_by_gcd(q) or [1], dtype=np.int64)
         thetas = theta_sequence(ps, q)
         for sides in range(3, 9):
             triples, scalars = corner_products_stack(sides, q, thetas)

@@ -14,15 +14,15 @@ from filament_prng.gauss import (
     gauss_magnitude,
     theta_sequence,
 )
-from filament_prng.modular import coprime_residues, phi_p
-from helpers import gauss_direct
+from filament_prng.modular import phi_p
+from helpers import coprimes_by_gcd, gauss_direct
 
 TWO_PI = 2.0 * math.pi
 
 
 def coprime_pairs(q_max):
     for q in range(1, q_max + 1):
-        for p in coprime_residues(q) or [1]:
+        for p in coprimes_by_gcd(q) or [1]:
             yield p, q
 
 
@@ -175,7 +175,7 @@ def test_closed_0mod4_rejects_bad_inputs():
 def test_doubling_identity_2mod4():
     # G(-p, m, q) = 2 G(-2p, m, q/2) for q = 2 mod 4 and odd m
     for q in range(6, 102, 4):
-        for p in coprime_residues(q)[:4]:
+        for p in coprimes_by_gcd(q)[:4]:
             for m in range(1, q, 2):
                 lhs = gauss_direct(-p, m, q)
                 rhs = 2 * gauss_direct(-2 * p, m, q // 2)
@@ -229,7 +229,7 @@ def test_theta_sequence_rejects_noncoprime():
 def test_phase_difference_identity_odd_q():
     # exp(i theta_{m+1}) exp(-i theta_m) = exp(2 pi i phi(p)(2m+1)/q), q odd
     for q in range(1, 61, 2):
-        for p in coprime_residues(q)[:5] or [1]:
+        for p in coprimes_by_gcd(q)[:5] or [1]:
             phases = theta_sequence(p, q).tolist()
             phi = phi_p(p, q)[0]
             for m in range(q - 1):
@@ -241,7 +241,7 @@ def test_phase_difference_identity_odd_q():
 def test_stacked_rows_equal_single_rows():
     # a stack of every coprime p gives each p's own row, bit for bit
     for q in range(1, 61):
-        ps = np.array(coprime_residues(q) or [1], dtype=np.int64)
+        ps = np.array(coprimes_by_gcd(q) or [1], dtype=np.int64)
         ms = np.arange(q)
         direct, closed = gauss_direct_row(-ps, q), closed_row(ps, q, ms)
         assert direct.shape == closed.shape == (len(ps), q)

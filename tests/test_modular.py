@@ -8,19 +8,30 @@ from hypothesis import strategies as st
 from filament_prng.errors import EvenModulus, NotCoprime, NotInvertible, RangeError
 from filament_prng.modular import (
     MAX_MODULUS,
+    _prime_factors,
     coprime_count,
-    coprime_residues,
     coprime_window,
     euler_totient,
     factor_pow2,
+    inverse_row,
     is_probable_prime,
     jacobi,
     mod_inverse,
     phi_p,
+    phi_row,
     pow_row,
 )
+from filament_prng.filament import z_qm_closed
 from filament_prng.prng import StreamSpec, eicg_stream
-from helpers import coprime_reference, jacobi_by_factorization, sieve_primes, totient_by_count
+from helpers import (
+    coprime_reference,
+    coprimes_by_gcd,
+    factorize,
+    inverse_by_search,
+    jacobi_by_factorization,
+    sieve_primes,
+    totient_by_count,
+)
 
 PRIMES_1K = sieve_primes(1000)
 
@@ -74,6 +85,13 @@ def test_pow_row_matches_pow(n):
         row = pow_row(np.array(values, dtype=np.int64), e, n)
         assert row.dtype == np.int64
         assert row.tolist() == [pow(v, e, n) for v in values]
+
+
+def test_inverse_row_matches_search():
+    for n in range(1, 201):
+        units = [a for a in range(n) if math.gcd(a, n) == 1]
+        row = inverse_row(np.array(units, dtype=np.int64), n)
+        assert row.tolist() == [inverse_by_search(a, n) for a in units], n
 
 
 def test_pow_row_refusals():
@@ -130,6 +148,14 @@ def test_totient_multiplicative(a, b):
         assert euler_totient(a * b) == euler_totient(a) * euler_totient(b)
 
 
+def test_prime_factors_match_factorization():
+    # a prime cofactor ends the trial division early; the factors and their
+    # order are the ones full trial division finds
+    large = [2**31 - 1, 2**31, 2 * 1_073_741_789, 46_337**2, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23]
+    for n in list(range(1, 5001)) + large:
+        assert _prime_factors(n) == sorted(factorize(n)), n
+
+
 def test_totient_halving_identity():
     # phi(q) = phi(q/2) whenever q = 2 mod 4
     for q in range(2, 1001, 4):
@@ -165,7 +191,7 @@ def test_phi_p_rejects_noncoprime():
 
 def test_phi_p_defining_congruence():
     for q in range(1, 150):
-        for p in coprime_residues(q) or [1]:
+        for p in coprimes_by_gcd(q) or [1]:
             phi, _ = phi_p(p, q)
             if q % 2 == 1:
                 assert 4 * p * phi % q == 1 % q
@@ -178,11 +204,36 @@ def test_phi_p_defining_congruence():
 def test_phi_p_bijection_on_units():
     # injective in p, and onto the unit group of the effective modulus
     for q in range(2, 200):
-        residues = coprime_residues(q)
+        residues = coprimes_by_gcd(q)
         values = [phi_p(p, q)[0] for p in residues]
         assert len(set(values)) == len(residues)
         eff = phi_p(residues[0], q)[1]
         assert set(values) == {v for v in range(eff) if math.gcd(v, eff) == 1}
+
+
+def test_phi_row_matches_phi_p():
+    for q in range(1, 301):
+        ps = coprimes_by_gcd(q) or [1]
+        phi, den = phi_row(np.array(ps, dtype=np.int64), q)
+        assert phi.dtype == np.int64
+        assert [(v, den) for v in phi.tolist()] == [phi_p(p, q) for p in ps], q
+    rng = np.random.default_rng(2013)
+    for q in (2**31 - 1, 2**31, 2**30 + 2):
+        draws = rng.integers(1, q, 256).tolist()
+        ps = [p for p in draws if math.gcd(p, q) == 1][:64]
+        assert len(ps) == 64
+        phi, den = phi_row(np.array(ps, dtype=np.int64), q)
+        assert [(v, den) for v in phi.tolist()] == [phi_p(p, q) for p in ps], q
+    assert phi_row(7, 10)[0].ndim == 0 and (int(phi_row(7, 10)[0]), 5) == phi_p(7, 10)
+
+
+def test_phi_row_refusal_names_the_first_bad_p():
+    with pytest.raises(NotCoprime, match=r"p=6 and q=15 "):
+        phi_row(np.array([1, 2, 6, 10, 4], dtype=np.int64), 15)
+    with pytest.raises(NotCoprime, match=r"p=5 and q=15 "):
+        phi_row(5, 15)
+    with pytest.raises(NotCoprime, match=r"p=10 and q=15 "):
+        z_qm_closed(3, 15, np.array([[1], [2], [10], [6]], dtype=np.int64), np.arange(4))
 
 
 # Moduli of the window tests: the unit ring, small primes, powers of two, the

@@ -154,9 +154,23 @@ def test_lcg_window_holds_only_its_indices_and_states():
     assert peak - before < 2.25 * 8 * count
 
 
-def test_lcg_refuses_negative_start():
-    with pytest.raises(RangeError):
-        lcg_stream(randu_preset(), 3, -1)
+@pytest.mark.parametrize(
+    "window",
+    [
+        lambda count, start: eicg_stream(StreamSpec.eicg(101), count, start),
+        lambda count, start: eicg_pow2_stream(StreamSpec.eicg_pow2(5), count, start),
+        lambda count, start: lcg_stream(randu_preset(), count, start),
+        lambda count, start: compound_stream(3, (5, 7), count, start),
+        lambda count, start: vfe_unit_samples(101, start, count),
+    ],
+    ids=["eicg", "eicg-pow2", "lcg", "compound", "vfe"],
+)
+def test_streams_refuse_negative_windows(window):
+    # a negative count is not an empty window, nor a negative start the
+    # indices before 0
+    for count, start in ((3, -1), (-1, 0)):
+        with pytest.raises(RangeError):
+            window(count, start)
 
 
 def test_stream_record_protocol():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import filament_prng
 from filament_prng import filament, gauss, modular, prng, verify
 from filament_prng.cli import EXIT_VERIFY, main
 from filament_prng.errors import BadParameters, TooLarge
@@ -12,6 +13,7 @@ from filament_prng.verify import (
     verify_gauss,
     verify_theorem1,
 )
+from helpers import coprimes_by_gcd
 
 
 def test_suite_result_describe():
@@ -132,7 +134,7 @@ def test_sweep_batches_stay_under_the_chunk_cap(monkeypatch):
 
 
 def _phi_off_by_one(p, q):
-    phi, den = modular.phi_p(p, q)
+    phi, den = modular.phi_row(p, q)
     return (phi + 1) % den, den
 
 
@@ -157,7 +159,7 @@ def _one_phase_perturbed(p, q):
 @pytest.mark.parametrize(
     "target,name,fault,failing",
     [
-        (filament, "phi_p", _phi_off_by_one, ["theorem1"]),
+        (filament, "phi_row", _phi_off_by_one, ["theorem1"]),
         (verify, "theta_sequence", _two_phases_swapped, ["theorem1", "closure"]),
         (verify, "theta_sequence", _one_phase_perturbed, ["theorem1", "closure"]),
     ],
@@ -174,6 +176,32 @@ def test_polygon_sweeps_report_injected_faults(capsys, monkeypatch, target, name
         assert code == EXIT_VERIFY
         assert suite in out and "FAIL" in out
         assert "Traceback" not in out + err
+
+
+def test_sweeps_and_compound_stream_need_no_scalar_phi(capsys, monkeypatch):
+    # every path but the circle stream takes phi as a row
+    def refuse(p, q):
+        raise AssertionError("scalar phi_p called")
+
+    for module in (filament_prng, modular, prng, filament, gauss, verify):
+        if hasattr(module, "phi_p"):
+            monkeypatch.setattr(module, "phi_p", refuse)
+    for argv in (
+        ["verify", "theorem1", "-M", "3..4", "--qmax", "12"],
+        ["verify", "closure", "-M", "3..4", "--qmax", "12"],
+        ["verify", "compound", "--primes", "5,7", "--pmax", "1000"],
+    ):
+        assert main(argv) == 0, argv
+        assert "pass" in capsys.readouterr().out
+    stream = prng.compound_stream(3, (5, 7), 64, start=100)
+    assert stream.n.tolist() == [p for p in range(1, 300) if p % 5 and p % 7][100:164]
+
+
+def test_sweep_residues_are_one_period_of_coprimes():
+    for q in range(1, 301):
+        residues = verify._sweep_residues(q)
+        assert residues.dtype == np.int64
+        assert residues.tolist() == (coprimes_by_gcd(q) or [1]), q
 
 
 def test_compound_case_counts_match_coprime_enumeration():
