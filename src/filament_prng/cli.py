@@ -6,6 +6,13 @@ plane-count / chi-square reports as JSON), polygon (vertex export for
 plotting).  Exit codes: 0 success, 1 I/O failure, 2 usage error,
 3 verification failure.
 
+`generate` and `polygon` compute and write their tables one window of at
+most `_BLOCK_ROWS` rows at a time, so memory is bounded by one window, not
+by the invocation.  The first window is computed before the output is
+opened: a usage error leaves no file.  A failure in a later window removes
+the regular file the invocation opened (a device or a FIFO is left alone);
+on stdout the windows already written stay there.
+
 The parsed argparse namespace is the only record of an invocation: each
 subcommand names its handler through `run`.  An option left out is not
 passed on, so a default that a library signature states is not repeated
@@ -14,9 +21,11 @@ here.
 
 from __future__ import annotations
 
+import os
 import sys
-from contextlib import nullcontext
-from typing import Sequence
+from contextlib import suppress
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,14 +34,17 @@ from .filament import PolygonConfig, RationalTime, build_polygon, circle_row, co
 from .prng import (
     Stream,
     StreamSpec,
+    check_budget,
+    check_indices,
     compound_stream,
     eicg_pow2_stream,
     eicg_stream,
     lcg_stream,
     randu_preset,
     vfe_unit_samples,
+    vfe_window_count,
 )
-from .serialize import f64le_bytes, report_json, table_csv, table_json
+from .serialize import _BLOCK_ROWS, f64le_bytes, report_json, table_csv, table_json
 from .stattest import chi2_quantile_999, chi_square_uniformity, randu_plane_count, serial_test
 from .verify import verify_closure, verify_compound, verify_gauss, verify_theorem1
 
@@ -40,9 +52,6 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_USAGE = 2
 EXIT_VERIFY = 3
-
-# Characters (or bytes) per write of an output.
-_EMIT_SLICE = 2**20
 
 _KINDS = ["vfe", "eicg", "eicg-pow2", "lcg", "compound"]
 
@@ -141,18 +150,50 @@ def _check_window(args) -> None:
             raise BadParameters(f"{flag} must be nonnegative, got {value}")
 
 
-def _emit(payload: str | bytes, path: str | None) -> None:
-    """Write payload to path, or to stdout when path is None, in slices of
-    _EMIT_SLICE: the text layer encodes one slice at a time, never a second
-    copy of the whole output."""
-    binary = isinstance(payload, bytes)
+def _emit(payload: str | bytes, handle) -> None:
+    """Write one payload, a serialize result, to an open output: the one
+    write of every command, so a traced run times and counts each."""
+    handle.write(payload)
+
+
+def _write(payloads: Iterable[str | bytes], path: str | None) -> None:
+    """Write the payloads in order to path, or to stdout when path is None.
+
+    The first payload is computed before the output is opened.  When a
+    later one, or a write, fails, the file at path is removed if it is the
+    regular file opened here, and the error goes on."""
+    payloads = iter(payloads)
+    first = next(payloads)
+    binary = isinstance(first, bytes)
+    payloads = chain([first], payloads)
     if path is None:
-        target = nullcontext(sys.stdout.buffer if binary else sys.stdout)
-    else:
-        target = open(path, "wb") if binary else open(path, "w", newline="\n")
-    with target as handle:
-        for lo in range(0, len(payload), _EMIT_SLICE):
-            handle.write(payload[lo : lo + _EMIT_SLICE])
+        handle = sys.stdout.buffer if binary else sys.stdout
+        for payload in payloads:
+            _emit(payload, handle)
+        return
+    with open(path, "wb") if binary else open(path, "w", newline="\n") as handle:
+        try:
+            for payload in payloads:
+                _emit(payload, handle)
+        except BaseException:
+            with suppress(OSError):
+                opened = os.fstat(handle.fileno())
+                if os.path.isfile(path) and os.path.samestat(opened, os.stat(path)):
+                    os.unlink(path)
+            raise
+
+
+def _windows(total: int, payload: Callable[[int, int], str | bytes]) -> Iterator[str | bytes]:
+    """payload(lo, count) over windows of at most _BLOCK_ROWS rows covering
+    rows [0, total) in order; one empty window when total is 0."""
+    for lo in range(0, max(total, 1), _BLOCK_ROWS):
+        yield payload(lo, min(total - lo, _BLOCK_ROWS))
+
+
+def _text(columns: dict, fmt: str, lo: int, count: int, total: int) -> str:
+    """The csv or json text of rows [lo, lo + count) of a table of total rows."""
+    writer = table_csv if fmt == "csv" else table_json
+    return writer(columns, first=lo == 0, last=lo + count == total)
 
 
 def _require(value, flag: str):
@@ -166,13 +207,16 @@ def _given(**options) -> dict:
     return {name: value for name, value in options.items() if value is not None}
 
 
-def _unit_stream(args) -> Stream:
-    """The stream of one of the unit-interval kinds."""
+def _unit_stream(args) -> tuple[int, Callable[[int, int], Stream]]:
+    """(total, window) of one of the unit-interval kinds: the stream's
+    length, refused before any work by the check the stream call makes
+    first, and window(start, count), its count samples from the start-th."""
     coefficients = _given(a=args.a, b=args.b)
     if args.kind == "eicg":
         spec = StreamSpec.eicg(_require(args.q, "-q"), **coefficients)
-        count = args.count if args.count is not None else spec.q
-        return eicg_stream(spec, count, args.start)
+        total = args.count if args.count is not None else spec.q
+        check_indices(args.start, total)
+        return total, lambda start, count: eicg_stream(spec, count, start)
     if args.kind == "eicg-pow2":
         omega = args.omega
         if args.q is not None:
@@ -181,8 +225,9 @@ def _unit_stream(args) -> Stream:
                 raise BadParameters(f"eicg-pow2 needs -q = 2**omega, got -q {args.q}")
             omega = q_omega
         spec = StreamSpec.eicg_pow2(_require(omega, "--omega"), **coefficients)
-        count = args.count if args.count is not None else spec.q // 2
-        return eicg_pow2_stream(spec, count, args.start)
+        total = args.count if args.count is not None else spec.q // 2
+        check_indices(args.start, total)
+        return total, lambda start, count: eicg_pow2_stream(spec, count, start)
     if args.kind == "lcg":
         if args.preset == "randu":
             spec = randu_preset()
@@ -193,33 +238,39 @@ def _unit_stream(args) -> Stream:
                 _require(args.q, "-q"),
                 **_given(x0=args.x0),
             )
-        return lcg_stream(spec, _require(args.count, "-n"), args.start)
+        total = _require(args.count, "-n")
+        check_indices(args.start, total)
+        return total, lambda start, count: lcg_stream(spec, count, start)
     if args.kind == "compound":
         if not args.primes:
             raise BadParameters("compound streams need --primes")
-        count = _require(args.count, "-n")
-        return compound_stream(args.sides, args.primes, count, args.start)
-    return vfe_unit_samples(_require(args.q, "-q"), args.start, args.count)
+        total = _require(args.count, "-n")
+        StreamSpec.compound(args.primes)  # bad primes first, as compound_stream refuses them
+        check_budget(total)
+        return total, lambda start, count: compound_stream(args.sides, args.primes, count, start)
+    q = _require(args.q, "-q")
+    return vfe_window_count(q, args.start, args.count), lambda start, count: vfe_unit_samples(q, start, count)
 
 
 def cmd_generate(args) -> int:
-    stream = _unit_stream(args)
-    if args.kind == "vfe":
-        points = circle_row(corner_angle(args.sides, args.q), stream.u)
-        columns = {"p": stream.n, "re": points.real, "im": points.imag}
-        floats = points.view(np.float64)  # re and im interleaved
-    else:
-        columns = {"n": stream.n, "x": stream.x, "u": stream.u}
-        if args.kind == "compound":
-            del columns["x"]  # compound states live in the product ring
-        floats = columns["u"]
-    if args.format == "csv":
-        payload: str | bytes = table_csv(columns)
-    elif args.format == "json":
-        payload = table_json(columns)
-    else:
-        payload = f64le_bytes(floats)
-    _emit(payload, args.output_path)
+    total, window = _unit_stream(args)
+
+    def payload(lo: int, count: int) -> str | bytes:
+        stream = window(args.start + lo, count)
+        if args.kind == "vfe":
+            points = circle_row(corner_angle(args.sides, args.q), stream.u)
+            columns = {"p": stream.n, "re": points.real, "im": points.imag}
+            floats = points.view(np.float64)  # re and im interleaved
+        else:
+            columns = {"n": stream.n, "x": stream.x, "u": stream.u}
+            if args.kind == "compound":
+                del columns["x"]  # compound states live in the product ring
+            floats = columns["u"]
+        if args.format == "f64le":
+            return f64le_bytes(floats)
+        return _text(columns, args.format, lo, count, total)
+
+    _write(_windows(total, payload), args.output_path)
     return EXIT_OK
 
 
@@ -241,22 +292,27 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(s.passed for s in suites) else EXIT_VERIFY
 
 
+def _whole_stream(args) -> Stream:
+    total, window = _unit_stream(args)
+    return window(args.start, total)
+
+
 def cmd_serial(args) -> int:
-    stream = _unit_stream(args)
+    stream = _whole_stream(args)
     report = serial_test(stream.u, args.k, args.lags)
-    _emit(report_json(report.as_dict()), args.output_path)
+    _write([report_json(report.as_dict())], args.output_path)
     return EXIT_OK
 
 
 def cmd_randu_planes(args) -> int:
     payload = {"planes": randu_plane_count(args.count), "samples": args.count}
-    _emit(report_json(payload), args.output_path)
+    _write([report_json(payload)], args.output_path)
     return EXIT_OK
 
 
 def cmd_chi2(args) -> int:
     quantile = chi2_quantile_999(args.bins - 1)  # refuses a bin count before any work
-    stream = _unit_stream(args)
+    stream = _whole_stream(args)
     statistic, bins = chi_square_uniformity(stream.u, args.bins)
     payload = {
         "statistic": statistic,
@@ -264,17 +320,20 @@ def cmd_chi2(args) -> int:
         "samples": len(stream),
         "chi2_quantile_999": quantile,
     }
-    _emit(report_json(payload), args.output_path)
+    _write([report_json(payload)], args.output_path)
     return EXIT_OK
 
 
 def cmd_polygon(args) -> int:
     config = PolygonConfig(args.sides, RationalTime(args.p, args.q))
     vertices = build_polygon(config)
-    columns = {"index": np.arange(len(vertices)), "x": vertices[:, 0],
-               "y": vertices[:, 1], "z": vertices[:, 2]}
-    payload = table_csv(columns) if args.format == "csv" else table_json(columns)
-    _emit(payload, args.output_path)
+
+    def payload(lo: int, count: int) -> str:
+        x, y, z = vertices[lo : lo + count].T
+        columns = {"index": np.arange(lo, lo + count), "x": x, "y": y, "z": z}
+        return _text(columns, args.format, lo, count, len(vertices))
+
+    _write(_windows(len(vertices), payload), args.output_path)
     return EXIT_OK
 
 

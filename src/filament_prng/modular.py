@@ -7,6 +7,7 @@ totients, and windows of the integers coprime to a modulus (`coprime_window`).
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -96,9 +97,14 @@ def jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def _prime_factors(n: int) -> list[int]:
+@lru_cache(maxsize=1024)
+def _prime_factors(n: int) -> tuple[int, ...]:
     """The distinct primes dividing n >= 1, ascending, by trial division that
-    stops once the cofactor left is prime, tested on n and after each factor."""
+    stops once the cofactor left is prime, tested on n and after each factor.
+
+    Memoized: a stream's windows, their inverses and the sweeps over q ask
+    for the same few moduli again, and a modulus with two large prime
+    factors costs milliseconds of trial division."""
     primes = []
     p = 2
     cofactor_prime = is_probable_prime(n)
@@ -111,7 +117,7 @@ def _prime_factors(n: int) -> list[int]:
         p += 1 if p == 2 else 2
     if n > 1:
         primes.append(n)
-    return primes
+    return tuple(primes)
 
 
 def euler_totient(q: int) -> int:
@@ -160,7 +166,7 @@ def phi_p(p: int, q: int) -> tuple[int, int]:
     return pow(scale * p, -1, den), den
 
 
-def _coprime_terms(modulus: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+def _coprime_terms(modulus: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     """The prime factors of modulus, and its D squarefree divisors d with
     their Moebius signs mu(d) as int64 rows; D <= 2**9 below 2**31."""
     primes = _prime_factors(modulus)

@@ -150,22 +150,29 @@ def _expect(spec: StreamSpec, kind: StreamKind) -> None:
         raise BadParameters(f"expected a {kind.value} spec, got {spec.kind.value}")
 
 
-def _check_budget(count: int) -> None:
+def check_budget(count: int) -> None:
+    """Refuse a stream of more than MAX_STREAM_SAMPLES samples."""
     if count > MAX_STREAM_SAMPLES:
         raise TooLarge(f"streams limited to {MAX_STREAM_SAMPLES} samples (2**24), got {count}")
 
 
-def _indices(start: int, count: int) -> np.ndarray:
-    """The int64 stream indices start, ..., start + count - 1, refused before
-    any work unless start and count are nonnegative, the last index fits an
-    int64 exactly and the count is within MAX_STREAM_SAMPLES."""
+def check_indices(start: int, count: int) -> None:
+    """Refuse the indices start, ..., start + count - 1 unless start and
+    count are nonnegative, the last index fits an int64 exactly and the
+    count is within MAX_STREAM_SAMPLES: the check of the index streams."""
     if start < 0 or count < 0:
         raise RangeError(f"stream window needs start, count >= 0, got {start}, {count}")
     if start + max(count, 1) > 2**63:
         raise RangeError(
             f"stream indices from {start} for {count} samples exceed the int64 bound 2**63 - 1"
         )
-    _check_budget(count)
+    check_budget(count)
+
+
+def _indices(start: int, count: int) -> np.ndarray:
+    """The int64 stream indices start, ..., start + count - 1, refused by
+    check_indices before any work."""
+    check_indices(start, count)
     return np.arange(start, start + count, dtype=np.int64)
 
 
@@ -239,22 +246,28 @@ def eicg_pow2_stream(spec: StreamSpec, count: int, start: int = 0) -> Stream:
     return _inversive_stream(spec, count, start)
 
 
+def vfe_window_count(q: int, start: int, count: int | None = None) -> int:
+    """Residues in the circle stream's window of `count` residues (all the
+    rest when None) from the start-th: truncated at the phi(q) - start
+    residues left in the period (none for q = 1, whose period [1, 1) is
+    empty).  The period q - 1 is held to MAX_STREAM_SAMPLES first."""
+    check_budget(q - 1)
+    left = max(euler_totient(q) - (q == 1) - start, 0)
+    return left if count is None else min(count, left)
+
+
 def vfe_unit_samples(q: int, start: int = 0, count: int | None = None) -> Stream:
     """The circle phases x_p = phi(p) in the effective modulus, one per
     residue p coprime to q, ascending p: the window of `count` residues
     (all the rest when None) from the start-th.
 
     For prime q these coincide with eicg_stream(q, a=4, b=0) at indices p.
-    The window's residues come from coprime_window, truncated at the
-    phi(q) - start residues left in the period (none for q = 1, whose
-    period [1, 1) is empty), and phi is taken once per residue of the
-    window.  The period q - 1 is held to MAX_STREAM_SAMPLES.
+    The window's residues come from coprime_window, vfe_window_count of
+    them, and phi is taken once per residue of the window.
     """
     if start < 0 or (count is not None and count < 0):
         raise RangeError(f"vfe window needs start, count >= 0, got {start}, {count}")
-    _check_budget(q - 1)
-    left = max(euler_totient(q) - (q == 1) - start, 0)
-    residues = coprime_window(q, start, left if count is None else min(count, left))
+    residues = coprime_window(q, start, vfe_window_count(q, start, count))
     phis = np.fromiter((phi_p(p, q)[0] for p in residues.tolist()), np.int64, len(residues))
     return Stream(residues, phis, phi_p(1, q)[1])
 
@@ -282,7 +295,7 @@ def _compound_states(spec: StreamSpec, count: int, start: int) -> Stream:
     start-th, in O(log start + count) through coprime_window, assembled
     exactly over prod(q_j) <= 2**31 by the Chinese remainder theorem (a sum
     of terms below it), unchecked."""
-    _check_budget(count)
+    check_budget(count)
     modulus = spec.modulus
     ns = coprime_window(modulus, start, count)
     x = sum(phi_row(ns, qj)[0] * (modulus // qj) for qj in spec.primes)

@@ -12,6 +12,13 @@ cells are interleaved into one list, row-major, and formatted by a single
 `str`, `"{:.17g}"` and `repr`).  The blocks and the surrounding text are
 joined once, so a table costs about twice its output length in memory, and
 no per-row string or per-row tuple is ever built.
+
+A table can also be written one window of rows at a time: `first` and
+`last` say whether a window opens the table (the csv header, json's `[`;
+a later window opens with the row separator) and whether it closes it.
+The texts of consecutive windows, the first with `first` and the last
+with `last`, concatenate to the whole table's text.  Every window but the
+whole table of an empty stream holds at least one row.
 """
 
 from __future__ import annotations
@@ -54,25 +61,26 @@ def _table(columns: Mapping[str, np.ndarray], row: str, sep: str, head: str, tai
     return "".join(parts)
 
 
-def table_csv(columns: Mapping[str, np.ndarray]) -> str:
+def table_csv(columns: Mapping[str, np.ndarray], first: bool = True, last: bool = True) -> str:
     """A header of the column names, then one row per index: integer
     columns as integers, float columns with 17 significant digits."""
     row = ",".join(_cell(column, "%.17g") for column in columns.values())
-    return _table(columns, "\n" + row, "", ",".join(columns), "\n")
+    return _table(columns, "\n" + row, "", ",".join(columns) if first else "", "\n" if last else "")
 
 
-def table_json(columns: Mapping[str, np.ndarray]) -> str:
+def table_json(columns: Mapping[str, np.ndarray], first: bool = True, last: bool = True) -> str:
     """The rows as a list of objects, laid out as json.dumps(rows, indent=2).
 
     Cells are ints and finite floats, whose repr is what json.dumps writes.
     """
-    if not _length(columns):
+    if first and last and not _length(columns):
         return "[]\n"
     fields = ",\n".join(
         f"    {json.dumps(name).replace('%', '%%')}: {_cell(column, '%r')}"
         for name, column in columns.items()
     )
-    return _table(columns, "  {\n" + fields + "\n  }", ",\n", "[\n", "\n]\n")
+    return _table(columns, "  {\n" + fields + "\n  }", ",\n",
+                  "[\n" if first else ",\n", "\n]\n" if last else "")
 
 
 def f64le_bytes(values: np.ndarray | Sequence[float]) -> bytes:

@@ -1,7 +1,10 @@
 import io
 import json
 import math
+import os
+import stat
 import struct
+import threading
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -12,7 +15,16 @@ from hypothesis import strategies as st
 
 from filament_prng import prng, serialize, stattest
 from filament_prng.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
-from filament_prng.prng import StreamSpec, eicg_stream
+from filament_prng.filament import PolygonConfig, RationalTime, build_polygon, circle_row, corner_angle
+from filament_prng.prng import (
+    StreamSpec,
+    compound_stream,
+    eicg_pow2_stream,
+    eicg_stream,
+    lcg_stream,
+    randu_preset,
+    vfe_unit_samples,
+)
 from filament_prng.serialize import f64le_bytes, table_csv, table_json
 from filament_prng.verify import SuiteResult
 
@@ -493,3 +505,173 @@ def test_every_argv_exits_with_a_code_and_no_traceback(argv):
     with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (EXIT_OK, EXIT_IO, EXIT_USAGE, EXIT_VERIFY)
+
+
+# --- windowed emission: generate and polygon write one window at a time ---
+
+W = serialize._BLOCK_ROWS
+_WINDOW_COUNTS = [0, 1, W - 1, W, W + 1, 2 * W + 1]
+_WINDOW_STREAMS = {
+    "eicg": "--kind eicg -q 65537 -a 17 -b 5",
+    "eicg-pow2": "--kind eicg-pow2 --omega 16",
+    "lcg": "--kind lcg --preset randu",
+    "compound": "--kind compound --primes 5,7",
+    "vfe": "--kind vfe -M 3 -q 65537",
+}
+
+
+def _one_shot(kind: str, start: int, count: int) -> tuple[dict, np.ndarray]:
+    """The table columns and the f64le floats of one whole-stream call."""
+    if kind == "vfe":
+        stream = vfe_unit_samples(65537, start, count)
+        points = circle_row(corner_angle(3, 65537), stream.u)
+        floats = np.column_stack([points.real, points.imag]).ravel()
+        return {"p": stream.n, "re": points.real, "im": points.imag}, floats
+    stream = {
+        "eicg": lambda: eicg_stream(StreamSpec.eicg(65537, 17, 5), count, start),
+        "eicg-pow2": lambda: eicg_pow2_stream(StreamSpec.eicg_pow2(16), count, start),
+        "lcg": lambda: lcg_stream(randu_preset(), count, start),
+        "compound": lambda: compound_stream(3, (5, 7), count, start),
+    }[kind]()
+    columns = {"n": stream.n, "x": stream.x, "u": stream.u}
+    if kind == "compound":
+        del columns["x"]
+    return columns, stream.u
+
+
+@pytest.mark.parametrize("start", [0, 12345])
+@pytest.mark.parametrize("count", _WINDOW_COUNTS)
+@pytest.mark.parametrize("kind", sorted(_WINDOW_STREAMS))
+def test_windowed_generate_is_the_whole_table_of_one_stream_call(tmp_path, kind, count, start):
+    columns, floats = _one_shot(kind, start, count)
+    expected = {"csv": table_csv(columns).encode(), "json": table_json(columns).encode(),
+                "f64le": f64le_bytes(floats)}
+    for fmt, payload in expected.items():
+        target = tmp_path / fmt
+        argv = ["generate", *_WINDOW_STREAMS[kind].split(), "-n", str(count),
+                "--start", str(start), "--format", fmt, "-o", str(target)]
+        assert main(argv) == EXIT_OK
+        assert target.read_bytes() == payload, fmt
+
+
+@pytest.mark.parametrize("sides,q", [(3, 5461), (4, 4096), (5, 3277), (3, 10923)])
+def test_windowed_polygon_is_the_whole_table(tmp_path, sides, q):
+    # M q vertices: W - 1, W, W + 1 and 2 W + 1
+    vertices = build_polygon(PolygonConfig(sides, RationalTime(1, q)))
+    columns = {"index": np.arange(len(vertices)), "x": vertices[:, 0],
+               "y": vertices[:, 1], "z": vertices[:, 2]}
+    for fmt, writer in (("csv", table_csv), ("json", table_json)):
+        target = tmp_path / fmt
+        argv = ["polygon", "-M", str(sides), "-q", str(q), "--format", fmt, "-o", str(target)]
+        assert main(argv) == EXIT_OK
+        assert target.read_bytes() == writer(columns).encode(), fmt
+
+
+@pytest.mark.parametrize("writer", [table_csv, table_json])
+def test_table_windows_concatenate_to_the_whole_table(writer):
+    columns = _awkward_columns(2 * W + 3, _SPECIAL_FLOATS)
+    for cuts in ([0, 1, 2 * W + 3], [0, W, W + 1, 2 * W + 3], [0, 2 * W + 3]):
+        texts = [writer({name: column[lo:hi] for name, column in columns.items()},
+                        first=lo == 0, last=hi == cuts[-1])
+                 for lo, hi in zip(cuts, cuts[1:])]
+        assert "".join(texts) == writer(columns), cuts
+    assert writer({"p": np.array([], dtype=np.int64)}, first=True, last=True) == writer(
+        {"p": np.array([], dtype=np.int64)})
+
+
+def test_generate_peak_memory_is_one_window():
+    # The stream and its text are made one window at a time, so sixteen
+    # times the rows keep the same traced peak (about 6 MB, one window's
+    # cells and text); a table built whole would need about 180 MB here.
+    def peak(count: int) -> int:
+        argv = ["generate", "--kind", "lcg", "--preset", "randu", "--format", "json",
+                "-n", str(count), "-o", os.devnull]
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            assert main(argv) == EXIT_OK
+            _, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return top - before
+
+    assert peak(2**20) <= 1.1 * peak(2**16)
+
+
+def _fail_in_second_window(monkeypatch) -> list:
+    """Make the compound identity check pass on the first window and fail
+    on every later one; returns the window lengths it saw."""
+    calls = []
+
+    def residual(sides, primes, ps, u):
+        calls.append(len(ps))
+        return np.full(len(ps), 0.0 if len(calls) == 1 else 1.0)
+
+    monkeypatch.setattr(prng, "compound_identity_residual", residual)
+    return calls
+
+
+_COMPOUND_TWO_WINDOWS = ["generate", "--kind", "compound", "--primes", "5,7", "-n", str(2 * W)]
+
+
+def test_late_failure_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
+    calls = _fail_in_second_window(monkeypatch)
+    target = tmp_path / "out.csv"
+    code, out, err = run(capsys, *_COMPOUND_TWO_WINDOWS, "-o", str(target))
+    assert code == EXIT_VERIFY
+    assert calls == [W, W]
+    assert not target.exists()
+    assert out == ""
+    assert err.startswith("error: circle-product identity violated at p=")
+
+
+def test_late_failure_on_stdout_leaves_the_first_window(capsys, monkeypatch):
+    _fail_in_second_window(monkeypatch)
+    code, out, _ = run(capsys, *_COMPOUND_TWO_WINDOWS)
+    assert code == EXIT_VERIFY
+    monkeypatch.undo()
+    columns, _ = _one_shot("compound", 0, W)
+    assert out == table_csv(columns, last=False)
+
+
+def test_late_failure_unlinks_no_device(capsys, monkeypatch):
+    removed = []
+    monkeypatch.setattr(os, "unlink", removed.append)
+    monkeypatch.setattr(os, "remove", removed.append)
+    _fail_in_second_window(monkeypatch)
+    code, _, _ = run(capsys, *_COMPOUND_TWO_WINDOWS, "-o", os.devnull)
+    assert code == EXIT_VERIFY
+    assert removed == []
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+def test_late_failure_keeps_a_fifo(tmp_path, capsys, monkeypatch):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+    reader.start()
+    _fail_in_second_window(monkeypatch)
+    code, _, _ = run(capsys, *_COMPOUND_TWO_WINDOWS, "-o", str(fifo))
+    reader.join(timeout=60)
+    assert code == EXIT_VERIFY
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert received[0].startswith(b"n,u\n1,")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "generate --kind eicg -q 101 -n 1099511627776",
+        "generate --kind eicg -q 101 -n 40000 --start 9223372036854775000",
+        "generate --kind compound --primes 4,7 -n 1099511627776",
+        "generate --kind vfe -q 16777259 -n 20000",
+        "generate --kind vfe -M 2 -q 65537",
+    ],
+)
+def test_usage_errors_leave_no_file(tmp_path, capsys, argv):
+    target = tmp_path / "out"
+    code, _, err = run(capsys, *argv.split(), "-o", str(target))
+    assert code == EXIT_USAGE, err
+    assert not target.exists()

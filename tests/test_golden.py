@@ -2,7 +2,7 @@
 
 Each entry pins the sha256 of the file one invocation writes: the
 `generate`, `stats` and `polygon` examples of README.md, plus json, f64le
-and --start variants of every stream kind.  The digests were taken before
+and --start variants of every stream kind and tables of several windows.  The digests were taken before
 the streams carried their integer state as arrays, so they show that
 carrying it changed no output byte.  A digest changes only with a
 deliberate change of output format.
@@ -118,6 +118,16 @@ GOLDEN = {
         "f791109d26fa5b94966199709704b15e619cf14d4fb002153a9025bac210208f",
     "polygon -M 5 -q 998 -p 7":
         "6db62f83fc185919e95d12ca9d16e7428547f2143afd8cc9b44ad07506aa83b7",
+    # Tables of several 2**14-row windows, pinned before generate and
+    # polygon wrote one window at a time.
+    "generate --kind eicg -q 65537 --format json":
+        "bd7bd5dc6ef0ae28cf8f7daa8670ce65b532fe13b2edeba08d1ca977e47355c3",
+    "generate --kind vfe -M 3 -q 40009":
+        "877c7c31389715a556f9113df9c26e7bb34d64dd3c9aa698c32b2c009eb95a71",
+    "generate --kind compound --primes 5,7 -n 40000 --start 3":
+        "72546b19d4a76190721bb43ef5b0e845dfa33adc9e868bc81f53f5b55442a612",
+    "polygon -M 3 -q 20011 -p 5 --format json":
+        "8b97e9c2209199687ec380ea38236bcd82a83c4a44506a6390e882c81fd31399",
     # The exact star discrepancy at k = 1, 2 and 3: EICG clouds up to
     # N = 4093, and LCG clouds of period 64 and 16 whose coordinates tie.
     "stats serial --kind eicg -q 1009 -k 1":

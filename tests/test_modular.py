@@ -153,7 +153,21 @@ def test_prime_factors_match_factorization():
     # order are the ones full trial division finds
     large = [2**31 - 1, 2**31, 2 * 1_073_741_789, 46_337**2, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23]
     for n in list(range(1, 5001)) + large:
-        assert _prime_factors(n) == sorted(factorize(n)), n
+        assert _prime_factors(n) == tuple(sorted(factorize(n))), n
+
+
+def test_prime_factors_memo_matches_uncached_trial_division():
+    # the cached tuple is the one a fresh trial division returns, on the
+    # first call and on every call after, and no caller can change it
+    moduli = [1, 2, 35, 1009, 2**31 - 1, 2**31, 46_337 * 46_309, 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23]
+    _prime_factors.cache_clear()
+    for n in moduli * 3:
+        uncached = _prime_factors.__wrapped__(n)
+        assert isinstance(uncached, tuple)
+        assert _prime_factors(n) == uncached == tuple(sorted(factorize(n))), n
+    info = _prime_factors.cache_info()
+    assert (info.misses, info.hits) == (len(moduli), 2 * len(moduli))
+    assert euler_totient(46_337 * 46_309) == 46_336 * 46_308
 
 
 def test_totient_halving_identity():
