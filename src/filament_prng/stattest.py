@@ -18,15 +18,18 @@ import numpy as np
 
 from .errors import BadDimension, BadLags, BadParameters, BadT, EmptyInput, InvariantViolation, TooLarge
 from .modular import is_probable_prime
-from .prng import lcg_stream, randu_preset
+from .prng import check_budget, lcg_stream, randu_preset
 
 MAX_EXACT_POINTS = 4096
 MAX_EXACT_DIM = 3
-# Work budget of the exact scan: the number of anchored boxes it examines,
+# Work budget of the exact scan: the number of anchored boxes on its grid,
 # the product over axes of (distinct coordinates + 1).  It admits k = 2 at
-# N = 4096 and k = 3 up to N = 1023; the k = 3 scan takes about 9 s at
-# N = 1009 on a 2-core machine, and its cost grows like N^3.
+# N = 4096 and k = 3 up to N = 1023.  On a 2-core machine one scan takes
+# about 0.065 s at k = 2, N = 4093, 0.11 s at k = 3, N = 401 and 1.8 s at
+# k = 3, N = 1009; the k = 3 cost still grows like N^3.
 MAX_EXACT_BOXES = 2**30
+# Triples per window of the RANDU plane scan.
+_RANDU_WINDOW = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,13 +97,14 @@ def star_discrepancy(cloud: TupleCloud) -> float:
     and refused before any work when the box count exceeds MAX_EXACT_BOXES.
     """
     _check_exact(cloud.k, cloud.n)
-    boxes = math.prod(len(np.unique(column)) + 1 for column in cloud.points.T)
+    axes = [np.unique(column, return_inverse=True) for column in cloud.points.T]
+    boxes = math.prod(len(values) + 1 for values, _ in axes)
     if boxes > MAX_EXACT_BOXES:
         raise TooLarge(
             f"exact scan limited to {MAX_EXACT_BOXES} anchored boxes (2**30); "
             f"k={cloud.k}, N={cloud.n} needs {boxes}"
         )
-    return _star_scan(cloud.points, cloud.n)
+    return _star_scan(axes, cloud.n)
 
 
 def _check_exact(k: int, n: int) -> None:
@@ -111,35 +115,55 @@ def _check_exact(k: int, n: int) -> None:
         )
 
 
-def _star_scan(points: np.ndarray, n: int) -> float:
-    """One sweep over the distinct first coordinates and 1.0, in order.
+def _star_scan(axes: list[tuple[np.ndarray, np.ndarray]], n: int) -> float:
+    """One sweep over the distinct first coordinates x, then x = 1.0,
+    evaluating each anchored box only where its count can change.
 
-    `closed` counts, over the corners of the other axes (each axis
-    extended by 1.0), the points at or below the corner in every
-    coordinate; `below` is the previous slice's count over n shifted by
-    one corner, i.e. the open boxes (its leading rows, the boxes with an
-    empty side, stay 0).  Counts stay integers, so every compared float is
-    an exact count over n against x times the corner volume.
+    `axes` holds np.unique(column, return_inverse=True) of each column.
+    The corners are the other axes' distinct coordinates, each extended by
+    1.0; `closed` counts the points at or below a corner in every other
+    coordinate and at or below x, behind a leading zero row per axis (the
+    boxes with an empty side).  At a corner, the open box at x holds the
+    count one row lower on every axis before x's points are added; the
+    closed box holds the corner's own count after them.
+
+    A box's count changes only at an x with a point in it, inside the
+    region above the componentwise lowest corner of x's points.  So that
+    region alone is evaluated: the open term x*vol - count/n before x's
+    increments, the closed term count/n - x*vol after them.  The pass at
+    x = 1.0 evaluates every box, the open ones with an empty side
+    included.  Nothing skipped can be larger.  fl(x*v) never decreases as
+    x grows (v >= 0), and fl(a - b) is monotone in each argument.  So
+    while a count stays put, its open term is largest at the last x before
+    the count rises (read there, or at 1.0 when it never rises again), and
+    its closed term at the first x with that count (read there, or at
+    most 0 for a count of 0).  The result is the same double as a scan of
+    every box at every x.
+
+    Counts stay integers; `frac` holds each count over n as that division
+    gives it, rewritten from the counts wherever they change.
     """
-    ux, ix = np.unique(points[:, 0], return_inverse=True)
-    axes = [np.unique(column, return_inverse=True) for column in points[:, 1:].T]
-    vol = reduce(np.multiply.outer, [np.append(u, 1.0) for u, _ in axes], np.ones(()))
-    corners = np.stack([ix, *(inverse for _, inverse in axes)], axis=1)[np.argsort(ix), 1:]
-    # one group of corners per distinct x, and an empty one for x = 1.0
-    groups = np.split(corners, np.cumsum(np.bincount(ix)))
-    closed = np.zeros(vol.shape, dtype=np.int32)
-    below = np.zeros(vol.shape)
-    shifted, kept = (slice(1, None),) * vol.ndim, (slice(None, -1),) * vol.ndim
+    (xs, ix), *others = axes
+    vol = reduce(np.multiply.outer, [np.append(u, 1.0) for u, _ in others], np.ones(()))
+    corners = np.stack([inverse for _, inverse in axes], axis=1)[np.argsort(ix), 1:]
+    ends = np.cumsum(np.bincount(ix)).tolist()  # the points of each x are corners[lo:hi]
+    lows = np.minimum.reduceat(corners, [0, *ends[:-1]], axis=0).tolist()
+    # the trailing ... keeps the 0-d grid of k = 1 a view
+    regions = [tuple(slice(c, None) for c in low) + (...,) for low in lows] + [(...,)]
+    steps = [tuple(slice(c + 1, None) for c in corner) for corner in corners.tolist()]
+    closed = np.zeros(tuple(size + 1 for size in vol.shape), dtype=np.int32)
+    frac = np.zeros(closed.shape)
+    below, own = (slice(None, -1),) * vol.ndim + (...,), (slice(1, None),) * vol.ndim + (...,)
     best = 0.0
-    for x, group in zip(np.append(ux, 1.0), groups):
-        xv = x * vol
-        best = max(best, float(np.max(xv - below)))
-        for corner in group:
-            closed[tuple(slice(c, None) for c in corner)] += 1
-        frac = closed / n
-        best = max(best, float(np.max(frac - xv)))
-        below[shifted] = frac[kept]
-    return best
+    for x, region, lo, hi in zip([*xs.tolist(), 1.0], regions, [0, *ends], [*ends, n]):
+        xv = x * vol[region]
+        window = frac[region]
+        best = max(best, (xv - window[below]).max())
+        for step in steps[lo:hi]:
+            closed[step] += 1
+        after = np.divide(closed[region][own], n, out=window[own])
+        best = max(best, (after - xv).max())
+    return float(best)
 
 
 def theorem2_upper(p: int, k: int) -> float:
@@ -195,15 +219,24 @@ def serial_test(
 
 def randu_plane_labels(sample_count: int) -> set[int]:
     """Distinct integers (x_{n+2} - 6 x_{n+1} + 9 x_n) / 2^31 over RANDU
-    triples; each labels one plane 9x - 6y + z = label in the unit cube."""
+    triples; each labels one plane 9x - 6y + z = label in the unit cube.
+
+    The triples are read in windows of at most _RANDU_WINDOW, each window's
+    states from one jump-ahead lcg_stream call, so memory is bounded by one
+    window; the sample count is refused beyond MAX_STREAM_SAMPLES, as one
+    stream call would refuse it."""
     if sample_count < 3:
         raise BadParameters(f"need at least 3 samples, got {sample_count}")
+    check_budget(sample_count)  # the stream's own refusal, before any window
     spec = randu_preset()
-    x = lcg_stream(spec, sample_count).x
-    combo = x[2:] - 6 * x[1:-1] + 9 * x[:-2]
-    if np.any(combo % spec.q):
-        raise InvariantViolation("RANDU three-term recurrence violated")
-    return set(np.unique(combo // spec.q).tolist())
+    labels: set[int] = set()
+    for start in range(0, sample_count - 2, _RANDU_WINDOW):
+        x = lcg_stream(spec, min(_RANDU_WINDOW, sample_count - 2 - start) + 2, start).x
+        combo = x[2:] - 6 * x[1:-1] + 9 * x[:-2]
+        if np.any(combo % spec.q):
+            raise InvariantViolation("RANDU three-term recurrence violated")
+        labels.update(np.unique(combo // spec.q).tolist())
+    return labels
 
 
 def randu_plane_count(sample_count: int) -> int:

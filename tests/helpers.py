@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from functools import reduce
 
 import numpy as np
 
@@ -133,6 +134,33 @@ def star_discrepancy_oracle(points: np.ndarray) -> float:
         for coord in corner[1:]:
             vol = vol * coord
         best = max(best, closed / n - vol, vol - opened / n)
+    return best
+
+
+def star_scan_full_grid(points: np.ndarray, n: int) -> float:
+    """Star discrepancy by a sweep that evaluates every anchored box at
+    every distinct first coordinate, and at 1.0, in the library's float
+    expressions: x * vol - count/n for the open boxes, count/n - x * vol
+    for the closed ones, with integer counts.  The library's scan must
+    return the same double."""
+    ux, ix = np.unique(points[:, 0], return_inverse=True)
+    axes = [np.unique(column, return_inverse=True) for column in points[:, 1:].T]
+    vol = reduce(np.multiply.outer, [np.append(u, 1.0) for u, _ in axes], np.ones(()))
+    corners = np.stack([ix, *(inverse for _, inverse in axes)], axis=1)[np.argsort(ix), 1:]
+    # one group of corners per distinct x, and an empty one for x = 1.0
+    groups = np.split(corners, np.cumsum(np.bincount(ix)))
+    closed = np.zeros(vol.shape, dtype=np.int32)
+    below = np.zeros(vol.shape)  # open-box counts over n; a box with an empty side holds 0
+    shifted, kept = (slice(1, None),) * vol.ndim, (slice(None, -1),) * vol.ndim
+    best = 0.0
+    for x, group in zip(np.append(ux, 1.0), groups):
+        xv = x * vol
+        best = max(best, float(np.max(xv - below)))
+        for corner in group:
+            closed[tuple(slice(c, None) for c in corner)] += 1
+        frac = closed / n
+        best = max(best, float(np.max(frac - xv)))
+        below[shifted] = frac[kept]
     return best
 
 

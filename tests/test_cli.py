@@ -599,6 +599,26 @@ def test_generate_peak_memory_is_one_window():
     assert peak(2**20) <= 1.1 * peak(2**16)
 
 
+def test_polygon_peak_memory_is_one_window():
+    # Three times the sides at the same q: the same period of phases and
+    # three times the corners (49176 and 147528, three and nine windows),
+    # made one block of vertices at a time (about 9 MB traced at both); the
+    # polygon built whole needed about 6 MB more at 147528 corners.
+    def peak(sides: int) -> int:
+        argv = ["polygon", "-M", str(sides), "-q", "683", "-o", os.devnull]
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            assert main(argv) == EXIT_OK
+            _, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return top - before
+
+    assert peak(216) <= 1.1 * peak(72)
+
+
 def _fail_in_second_window(monkeypatch) -> list:
     """Make the compound identity check pass on the first window and fail
     on every later one; returns the window lengths it saw."""

@@ -18,6 +18,7 @@ from filament_prng.filament import (
     corner_angle,
     corner_products,
     corner_products_stack,
+    polygon_windows,
     rotation_stack,
     z_qm_closed,
 )
@@ -178,6 +179,18 @@ def test_build_polygon_matches_transported_frames():
         expected = np.zeros_like(tangents)
         expected[1:] = np.cumsum(cfg.side_length * tangents[:-1], axis=0)
         assert np.array_equal(build_polygon(cfg), expected)
+
+
+def test_polygon_windows_concatenate_to_the_polygon_bit_for_bit():
+    # the frame, the last vertex and its step carry across blocks of any size
+    for sides, p, q in [(5, 1, 3), (4, 5, 6), (6, 5, 12), (7, 3, 97), (3, 511, 1024)]:
+        cfg = config(sides, p, q)
+        whole = build_polygon(cfg)
+        count = cfg.corner_count
+        for rows in (1, 2, 7, count - 1, count, count + 1):
+            blocks = list(polygon_windows(cfg, rows))
+            assert [len(b) for b in blocks] == [min(rows, count - lo) for lo in range(0, count, rows)]
+            assert np.concatenate(blocks).tobytes() == whole.tobytes(), (sides, q, rows)
 
 
 def test_triple_product_planar_is_zero():

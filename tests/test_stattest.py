@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from filament_prng import stattest
 from filament_prng.errors import BadDimension, BadLags, BadT, DomainError, EmptyInput, TooLarge
 from filament_prng.prng import StreamSpec, eicg_stream, vfe_unit_samples
 from filament_prng.stattest import (
@@ -21,7 +22,7 @@ from filament_prng.stattest import (
     theorem2_upper,
     theorem3_lower,
 )
-from helpers import star_discrepancy_oracle
+from helpers import star_discrepancy_oracle, star_scan_full_grid
 
 
 def cloud_from(points) -> TupleCloud:
@@ -155,6 +156,38 @@ def test_star_box_budget():
     assert star_discrepancy(cloud_from(tied)) == star_discrepancy_oracle(tied)
 
 
+def _scan_clouds(k: int, levels: int | None, seed: int):
+    """Twenty clouds of k-tuples: random ones (levels None) or grid ones
+    with `levels` values per axis, every fourth with some rows repeated."""
+    rng = np.random.default_rng([k, levels or 0, seed])
+    for trial in range(20):
+        n = int(rng.integers(1, 50))
+        pts = rng.random((n, k)) if levels is None else rng.integers(0, levels, (n, k)) / levels
+        if trial % 4 == 0:
+            pts = np.vstack([pts, pts[: n // 2 + 1], pts[-1:]])
+        yield pts
+
+
+@pytest.mark.parametrize("levels", [None, *range(1, 12)])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_star_scan_is_the_full_grid_scan_bit_for_bit(k, levels):
+    # Skipping the boxes whose count did not change loses no maximum: the
+    # same double, not a close one, on random and tie-heavy clouds.
+    for seed in range(2):
+        for pts in _scan_clouds(k, levels, seed):
+            assert star_discrepancy(cloud_from(pts)) == star_scan_full_grid(pts, len(pts))
+
+
+@pytest.mark.parametrize(
+    "q,lags", [(4093, (0, 1234)), (401, (0, 100, 250))], ids=["k2-q4093", "k3-q401"]
+)
+def test_star_scan_is_the_full_grid_scan_on_golden_eicg_clouds(q, lags):
+    # the clouds of the golden `stats serial --kind eicg -a 17 -b 5` cases
+    samples = eicg_stream(StreamSpec.eicg(q, a=17, b=5), q).u
+    cloud = make_tuples(samples, len(lags), lags)
+    assert star_discrepancy(cloud) == star_scan_full_grid(cloud.points, q)
+
+
 def test_serial_test_eicg_within_bound():
     q = 101
     samples = eicg_stream(StreamSpec.eicg(q, a=4, b=0), q)
@@ -235,6 +268,19 @@ def test_randu_labels_within_range():
         (x2 - 6 * x1 + 9 * x0) // 2**31 for x0, x1, x2 in zip(xs, xs[1:], xs[2:])
     }
     assert randu_plane_count(20_000) == len(labels)
+
+
+@pytest.mark.parametrize("window", [1, 2, 5])
+def test_randu_windows_cover_every_triple(monkeypatch, window):
+    # The first triples' labels (0 seven times, then -1, 8, -4, 3, ...) make
+    # the set of a short stream change with each triple taken or dropped.
+    monkeypatch.setattr(stattest, "_RANDU_WINDOW", window)
+    xs = [1]
+    for _ in range(40):
+        xs.append(65539 * xs[-1] % 2**31)
+    triples = [(x2 - 6 * x1 + 9 * x0) // 2**31 for x0, x1, x2 in zip(xs, xs[1:], xs[2:])]
+    for count in range(3, 42):
+        assert randu_plane_labels(count) == set(triples[: count - 2]), count
 
 
 def test_randu_monotone_in_count():
