@@ -29,8 +29,7 @@ from .gauss import (
 from .modular import (
     euler_totient,
     factor_pow2,
-    jacobi,
-    mod_inverse,
+    jacobi_row,
     phi_p,
 )
 from .prng import (

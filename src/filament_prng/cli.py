@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import os
 import sys
-from contextlib import suppress
-from itertools import chain
+from contextlib import contextmanager, suppress
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -156,31 +155,39 @@ def _emit(payload: str | bytes, handle) -> None:
     handle.write(payload)
 
 
-def _write(payloads: Iterable[str | bytes], path: str | None) -> None:
-    """Write the payloads in order to path, or to stdout when path is None.
-
-    The first payload is computed before the output is opened.  When a
-    later one, or a write, fails, the file at path is removed if it is the
-    regular file opened here, and the error goes on."""
-    payloads = iter(payloads)
-    first = next(payloads)
-    binary = isinstance(first, bytes)
-    payloads = chain([first], payloads)
+@contextmanager
+def _output(path: str | None, binary: bool) -> Iterator:
+    """stdout when path is None, else the file at path opened for writing.
+    When the body fails, the file is removed if it is the regular file
+    opened here, and the error goes on."""
     if path is None:
-        handle = sys.stdout.buffer if binary else sys.stdout
-        for payload in payloads:
-            _emit(payload, handle)
+        yield sys.stdout.buffer if binary else sys.stdout
         return
     with open(path, "wb") if binary else open(path, "w", newline="\n") as handle:
         try:
-            for payload in payloads:
-                _emit(payload, handle)
+            yield handle
         except BaseException:
             with suppress(OSError):
                 opened = os.fstat(handle.fileno())
                 if os.path.isfile(path) and os.path.samestat(opened, os.stat(path)):
                     os.unlink(path)
             raise
+
+
+def _write(payloads: Iterable[str | bytes], path: str | None) -> None:
+    """Write the payloads in order to path, or to stdout when path is None.
+
+    The first payload is computed before the output is opened.  Each one is
+    dropped once written, before the next is computed, so one payload is
+    alive at a time."""
+    payloads = iter(payloads)
+    first = next(payloads)
+    with _output(path, isinstance(first, bytes)) as handle:
+        _emit(first, handle)
+        del first
+        for payload in payloads:
+            _emit(payload, handle)
+            del payload
 
 
 def _windows(total: int, payload: Callable[[int, int], str | bytes]) -> Iterator[str | bytes]:

@@ -11,10 +11,11 @@ other's oracle.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
-from .modular import _check_modulus, coprime_row, factor_pow2, inverse_row, jacobi
+from .modular import _check_modulus, coprime_row, factor_pow2, inverse_row, jacobi_row
 
 TWO_PI = 2.0 * math.pi
 
@@ -58,11 +59,70 @@ def gauss_magnitude(p: int, m: int | np.ndarray, q: int) -> float | np.ndarray:
     return np.where((q // 2 - m) % 2 == 0, math.sqrt(2 * q), 0.0)[()]
 
 
-def _phase_row(scale: np.ndarray, ks: np.ndarray, den: int) -> np.ndarray:
-    """exp(2 pi i (scale * ks) / den) with the numerator reduced exactly; a
-    column of scales against a row of ks gives one grid of phases, read
-    from the table of den-th roots."""
-    return _unit_roots(den)[scale[..., None] * (ks % den) % den]
+def closed_prefactor(p: int | np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-p part of closed_row: (pref, phi1, phi2) over an int or an
+    int64 array of p coprime to q, each of the shape of p.
+
+    pref is sqrt(q') (2**r p | q'), times -i when q' = 3 mod 4; times 2 for
+    r = 1; for r >= 2 times (2**r | q' p)(1 - i**(q' p)) sqrt(2**r).  The
+    inverses are phi1 = (2**(r+2) p)^-1 mod q' and phi2 = (q' p)^-1 mod 2**r,
+    both from inverse_row; the phases read phi2 only for r >= 2.
+    """
+    ps = coprime_row(p, q)
+    r, q1 = factor_pow2(q)
+    two_r = 1 << r
+    two_r_symbol = int(jacobi_row(two_r, q1))
+    # (2**r p | q') = (2**r | q')(p | q')
+    pref = math.sqrt(q1) * (two_r_symbol * jacobi_row(ps, q1))
+    if q1 % 4 == 3:
+        pref = pref * -1j
+    phi1 = inverse_row(4 * two_r % q1 * ps, q1)
+    phi2 = inverse_row(q1 % two_r * ps, two_r)
+    if r == 1:
+        pref = 2 * pref
+    elif r >= 2:
+        # (2**r | q'p) = (2**r | q')(2 | p)**r, with (2 | p) = 1 iff p = +-1 mod 8.
+        two_p = np.where((ps % 8 == 1) | (ps % 8 == 7), 1, -1)
+        pref = pref * (two_r_symbol * two_p**r)
+        pref = pref * ((1 - _I_POW[q1 * ps % 4]) * math.sqrt(two_r))
+    return pref, phi1, phi2
+
+
+def closed_grid(
+    q: int, ms: np.ndarray | range
+) -> Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+    """The per-(p, m) part of closed_row at one q and index row ms: a
+    function of closed_prefactor's (pref, phi1, phi2), for a run of P
+    values of p, giving their (P, len(ms)) grid of the closed form.
+
+    The odd factor's phase is exp(2 pi i phi1 m^2 / q'); for r >= 2 the
+    2-power factor's is exp(pi i phi2 m^2 / 2**(r+1)) at even m.  The m^2
+    terms and the tables of q'-th and 2**r-th roots are built here, once;
+    each grid reads them with one product and one reduction per entry.
+    At the indices where the magnitude law puts no mass the grid holds an
+    exact 0.
+    """
+    r, q1 = factor_pow2(q)
+    two_r = 1 << r
+    ms = np.asarray(ms, dtype=np.int64) % q
+    m2 = ms * ms
+    odd_roots, odd_ks = _unit_roots(q1), m2 % q1
+    # exp(pi i phi2 m^2 / 2**(r+1)) = exp(2 pi i phi2 (m^2/4) / 2**r) for even m
+    two_roots, two_ks = _unit_roots(two_r), (m2 >> 2) % two_r
+    active = active_indices(q)
+    massless = (ms - active.start) % active.step != 0
+    if not massless.any():
+        massless = None
+
+    def grid(pref: np.ndarray, phi1: np.ndarray, phi2: np.ndarray) -> np.ndarray:
+        row = pref[..., None] * odd_roots[phi1[..., None] * odd_ks % q1]
+        if r >= 2:
+            row *= two_roots[phi2[..., None] * two_ks % two_r]
+        if massless is not None:
+            row[..., massless] = 0j
+        return row
+
+    return grid
 
 
 def closed_row(p: int | np.ndarray, q: int, ms: np.ndarray) -> np.ndarray:
@@ -75,36 +135,14 @@ def closed_row(p: int | np.ndarray, q: int, ms: np.ndarray) -> np.ndarray:
     q' = 3 mod 4, with phi1 = (2**(r+2) p)^-1 mod q'.  The 2-power factor
     is 1 for r = 0; 2 at odd m for r = 1; for r >= 2 it is
     exp(pi i phi2 m^2 / 2**(r+1)) (2**r | q' p)(1 - i**(q' p)) sqrt(2**r)
-    at even m, with phi2 = (q' p)^-1 mod 2**r.  Both inverses come from
-    inverse_row.  The phases are read from tables of the q'-th and 2**r-th
-    roots of unity, so a call costs O(q) however few indices it asks for,
-    as gauss_direct_row does.  At the indices where the magnitude law puts
-    no mass the row holds an exact 0.
+    at even m, with phi2 = (q' p)^-1 mod 2**r.  The per-p factors come from
+    closed_prefactor and the phase grid from closed_grid; the phases are
+    read from tables of the q'-th and 2**r-th roots of unity, so a call
+    costs O(q) however few indices it asks for, as gauss_direct_row does.
+    At the indices where the magnitude law puts no mass the row holds an
+    exact 0.
     """
-    ps = coprime_row(p, q)
-    r, q1 = factor_pow2(q)
-    two_r = 1 << r
-    ms = np.asarray(ms, dtype=np.int64) % q
-    m2 = ms * ms
-    # (2**r p | q') = (2**r | q')(p | q'), one Python step per p
-    symbols = [jacobi(v, q1) for v in ps.ravel().tolist()]
-    pref = math.sqrt(q1) * (jacobi(two_r, q1) * np.array(symbols).reshape(ps.shape))
-    if q1 % 4 == 3:
-        pref = pref * -1j
-    phi1 = inverse_row(4 * two_r % q1 * ps, q1)
-    odd_phase = _phase_row(phi1, m2 % q1, q1)
-    if r == 0:
-        return pref[..., None] * odd_phase
-    if r == 1:
-        return np.where(ms % 2 == 1, 2 * pref[..., None] * odd_phase, 0j)
-    phi2 = inverse_row(q1 % two_r * ps, two_r)
-    # (2**r | q'p) = (2**r | q')(2 | p)**r, with (2 | p) = 1 iff p = +-1 mod 8.
-    two_p = np.where((ps % 8 == 1) | (ps % 8 == 7), 1, -1)
-    pref = pref * (jacobi(two_r, q1) * two_p**r)
-    pref = pref * ((1 - _I_POW[q1 * ps % 4]) * math.sqrt(two_r))
-    # exp(pi i phi2 m^2 / 2**(r+1)) = exp(2 pi i phi2 (m^2/4) / 2**r) for even m
-    row = pref[..., None] * odd_phase * _phase_row(phi2, (m2 >> 2) % two_r, two_r)
-    return np.where(ms % 2 == 0, row, 0j)
+    return closed_grid(q, ms)(*closed_prefactor(p, q))
 
 
 def active_indices(q: int) -> range:

@@ -1,7 +1,8 @@
 """Exact integer arithmetic: modular powers of int64 arrays (`pow_row`) and
 `inverse_row`, the one inversion routine; the inverse map phi over an array
-(`phi_row`); `coprime_row`, the one coprimality check; Jacobi symbols,
-totients, and windows of the integers coprime to a modulus (`coprime_window`).
+(`phi_row`); `coprime_row`, the one coprimality check; Jacobi symbols over
+an array (`jacobi_row`), totients, and windows of the integers coprime to a
+modulus (`coprime_window`).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import EvenModulus, NotCoprime, NotInvertible, RangeError
+from .errors import EvenModulus, NotCoprime, RangeError
 
 # Largest ring modulus accepted anywhere in the package.  Products of two
 # reduced residues then stay below 2**62, so every intermediate fits a
@@ -62,39 +63,32 @@ def coprime_row(p: int | np.ndarray, q: int) -> np.ndarray:
     return ps
 
 
-def mod_inverse(a: int, n: int) -> int:
-    """Inverse of a modulo n by the extended Euclidean algorithm.
+def jacobi_row(a: int | np.ndarray, n: int) -> np.ndarray:
+    """Jacobi symbols (a | n) over an int or an int64 array a, for odd n >= 1,
+    as int64; 0 where gcd(a, n) > 1, and (a | 1) = 1.
 
-    n = 1 returns 0: the ring Z_1 is trivial and every congruence there
-    holds vacuously.
-    """
-    _check_modulus(n)
-    if math.gcd(a, n) != 1:
-        raise NotInvertible(f"{a % n} has no inverse mod {n}")
-    return pow(a, -1, n)
-
-
-def jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a | n) for odd n >= 1; 0 when gcd(a, n) > 1.
-
-    (a | 1) = 1 by the empty-product convention.  The denominator is not
-    range-limited: closed-form recombination feeds products of two bounded
-    moduli through here.
+    The product over the prime powers l**e of n of the Legendre symbol
+    (a | l)**e, each read from a table of the squares mod l: O(len(a) + l)
+    work and memory for l the largest prime factor of n.
     """
     if n < 1 or n % 2 == 0:
         raise EvenModulus(f"Jacobi symbol needs a positive odd modulus, got {n}")
-    a %= n
-    result = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
+    _check_modulus(n)
+    residues = np.asarray(np.asarray(a) % n, dtype=np.int64)
+    result = np.ones(residues.shape, dtype=np.int64)
+    rest = n
+    for prime in _prime_factors(n):
+        squares = np.arange(prime // 2 + 1, dtype=np.int64)
+        legendre = np.full(prime, -1, dtype=np.int64)
+        legendre[squares * squares % prime] = 1
+        legendre[0] = 0
+        symbol = legendre[residues % prime]
+        exponent = 0
+        while rest % prime == 0:
+            rest //= prime
+            exponent += 1
+        result *= symbol if exponent % 2 else symbol * symbol
+    return result
 
 
 @lru_cache(maxsize=1024)

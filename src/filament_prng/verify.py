@@ -22,7 +22,14 @@ from .filament import (
     corner_products_stack,
     z_qm_closed,
 )
-from .gauss import active_indices, closed_row, gauss_direct_row, gauss_magnitude, theta_sequence
+from .gauss import (
+    active_indices,
+    closed_grid,
+    closed_prefactor,
+    gauss_direct_row,
+    gauss_magnitude,
+    theta_sequence,
+)
 from .modular import coprime_count, coprime_window, euler_totient
 from .prng import MAX_STREAM_SAMPLES, StreamSpec, _compound_states, compound_identity_residual
 
@@ -67,11 +74,11 @@ def _sweep_residues(q: int) -> np.ndarray:
     return coprime_window(q, 0, euler_totient(q))
 
 
-def _chunks(ps: np.ndarray, width: int) -> Iterator[np.ndarray]:
-    """Consecutive runs of ps whose stacks of `width` entries per p hold at
-    most _CHUNK_ELEMS entries, at least one p each."""
+def _chunks(count: int, width: int) -> Iterator[slice]:
+    """Consecutive runs of `count` values of p whose stacks of `width`
+    entries per p hold at most _CHUNK_ELEMS entries, at least one p each."""
     size = max(1, _CHUNK_ELEMS // max(width, 1))
-    return (ps[lo : lo + size] for lo in range(0, len(ps), size))
+    return (slice(lo, lo + size) for lo in range(0, count, size))
 
 
 def _check_sweep(name: str, work: int) -> None:
@@ -97,22 +104,33 @@ def _suite(name: str, rows: Sequence[tuple[float, int]], tolerance: float) -> Su
 def _gauss_errors_for_q(q: int) -> tuple[tuple[float, int], tuple[float, int]]:
     """(magnitude error, cases) and (closed-form error, cases), errors
     normalized by sqrt(q); the closed form is compared at the active
-    indices."""
+    indices.
+
+    Once per q: the coprime p, the magnitude law, the closed form's index
+    terms and root tables (closed_grid) and its per-p part
+    (closed_prefactor) for every p.  Once per chunk of p: the direct rows,
+    the closed grid over that chunk's slice of the per-p part, and the two
+    errors, taken in place.
+    """
     scale = math.sqrt(q)
     law = gauss_magnitude(1, np.arange(q), q)  # the same for every coprime p
     # q = 2 is left out of the closed-form suite so that its case count, which
     # bench/workloads.gauss_cases enumerates, stays comparable across versions;
     # tests/test_gauss.py checks the closed form at q = 2.
-    active = np.asarray(active_indices(q) if q != 2 else [], dtype=np.int64)
+    active = active_indices(q) if q != 2 else range(0)
+    columns = slice(active.start, active.stop, active.step)
     ps = _sweep_residues(q)
+    grid = closed_grid(q, active)
+    pref, phi1, phi2 = closed_prefactor(ps, q)
     mag_err = closed_err = 0.0
-    for chunk in _chunks(ps, q):
-        rows = gauss_direct_row(-chunk, q)
-        mag_err = max(mag_err, float(np.max(np.abs(np.abs(rows) - law))) / scale)
-        closed = closed_row(chunk, q, active)
-        closed_err = max(
-            closed_err, float(np.max(np.abs(closed - rows[:, active]), initial=0.0)) / scale
-        )
+    for part in _chunks(len(ps), q):
+        rows = gauss_direct_row(-ps[part], q)
+        deviation = np.abs(rows)
+        deviation -= law
+        mag_err = max(mag_err, float(np.max(np.abs(deviation, out=deviation))) / scale)
+        closed = grid(pref[part], phi1[part], phi2[part])
+        closed -= rows[:, columns]
+        closed_err = max(closed_err, float(np.max(np.abs(closed), initial=0.0)) / scale)
     return (mag_err, q * len(ps)), (closed_err, len(active) * len(ps))
 
 
@@ -156,7 +174,9 @@ def _polygon_sweep(
     rows = []
     for q in range(1, q_max + 1):
         corners = sides_hi * q if q % 2 else sides_hi * q // 2
-        for ps in _chunks(_sweep_residues(q), corners):
+        residues = _sweep_residues(q)
+        for part in _chunks(len(residues), corners):
+            ps = residues[part]
             thetas = theta_sequence(ps, q)
             rows.extend(error(sides, q, ps, thetas) for sides in range(sides_lo, sides_hi + 1))
     return _suite(name, rows, tolerance)

@@ -1,7 +1,10 @@
 """Independent oracles shared by the test modules.
 
 Everything here recomputes expected values by brute force (enumeration,
-direct counting, factorization) and never calls the code paths it checks.
+direct counting, factorization, scalar algorithms) and never calls the code
+paths it checks.  The one exception, `gauss_errors_per_chunk`, is the
+sweep's own per-chunk evaluation through the whole-row library functions,
+kept as the oracle of the sweep that hoists their per-q work.
 """
 
 from __future__ import annotations
@@ -13,6 +16,9 @@ from functools import reduce
 
 import numpy as np
 
+from filament_prng.errors import EvenModulus, NotInvertible
+from filament_prng.gauss import active_indices, closed_row, gauss_direct_row, gauss_magnitude
+
 
 def inverse_by_search(a: int, n: int) -> int | None:
     """Exhaustive-search modular inverse; None when none exists."""
@@ -22,6 +28,36 @@ def inverse_by_search(a: int, n: int) -> int | None:
         if a * x % n == 1:
             return x
     return None
+
+
+def mod_inverse(a: int, n: int) -> int:
+    """Inverse of a modulo n by the extended Euclidean algorithm.
+
+    n = 1 returns 0: the ring Z_1 is trivial and every congruence there
+    holds vacuously.
+    """
+    if math.gcd(a, n) != 1:
+        raise NotInvertible(f"{a % n} has no inverse mod {n}")
+    return pow(a, -1, n)
+
+
+def jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a | n) for odd n >= 1 by the binary reciprocity
+    algorithm; 0 when gcd(a, n) > 1, and (a | 1) = 1."""
+    if n < 1 or n % 2 == 0:
+        raise EvenModulus(f"Jacobi symbol needs a positive odd modulus, got {n}")
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
 
 
 def coprimes_by_gcd(q: int) -> list[int]:
@@ -175,6 +211,28 @@ def gauss_direct(a: int, b: int, c: int) -> complex:
     l = np.arange(c, dtype=np.int64)
     k = (((a % c) * (l * l % c)) % c + (b % c) * l) % c
     return complex(np.exp((2j * np.pi / c) * k).sum())
+
+
+def gauss_errors_per_chunk(q: int, chunk_elems: int = 2**12):
+    """The gauss sweep's ((magnitude error, cases), (closed-form error,
+    cases)) at one q, each chunk of at most chunk_elems entries evaluated
+    whole: the direct rows, the magnitude law and closed_row at the active
+    indices (none for q = 2), all recomputed per chunk."""
+    scale = math.sqrt(q)
+    law = gauss_magnitude(1, np.arange(q), q)
+    active = np.asarray(active_indices(q) if q != 2 else [], dtype=np.int64)
+    ps = np.array(coprimes_by_gcd(q) or [1], dtype=np.int64)
+    size = max(1, chunk_elems // q)
+    mag_err = closed_err = 0.0
+    for lo in range(0, len(ps), size):
+        chunk = ps[lo : lo + size]
+        rows = gauss_direct_row(-chunk, q)
+        mag_err = max(mag_err, float(np.max(np.abs(np.abs(rows) - law))) / scale)
+        closed = closed_row(chunk, q, active)
+        closed_err = max(
+            closed_err, float(np.max(np.abs(closed - rows[:, active]), initial=0.0)) / scale
+        )
+    return (mag_err, q * len(ps)), (closed_err, len(active) * len(ps))
 
 
 def table_csv_by_rows(columns: dict[str, np.ndarray]) -> str:

@@ -619,6 +619,26 @@ def test_polygon_peak_memory_is_one_window():
     assert peak(216) <= 1.1 * peak(72)
 
 
+def test_written_windows_are_dropped_before_the_next():
+    # -M 48 and -M 72 at q = 683 write 32784 and 49176 corners in three
+    # windows each, the last of 16 and of 16392 rows.  A window held until
+    # the whole output is written adds its text (about 1.2 MB) to the peak
+    # of every later one.
+    def peak(sides: int) -> int:
+        argv = ["polygon", "-M", str(sides), "-q", "683", "-o", os.devnull]
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            assert main(argv) == EXIT_OK
+            _, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return top - before
+
+    assert peak(72) <= peak(48) + 300_000
+
+
 def _fail_in_second_window(monkeypatch) -> list:
     """Make the compound identity check pass on the first window and fail
     on every later one; returns the window lengths it saw."""

@@ -15,8 +15,7 @@ from filament_prng.modular import (
     factor_pow2,
     inverse_row,
     is_probable_prime,
-    jacobi,
-    mod_inverse,
+    jacobi_row,
     phi_p,
     phi_row,
     pow_row,
@@ -28,7 +27,9 @@ from helpers import (
     coprimes_by_gcd,
     factorize,
     inverse_by_search,
+    jacobi,
     jacobi_by_factorization,
+    mod_inverse,
     sieve_primes,
     totient_by_count,
 )
@@ -105,28 +106,53 @@ def test_pow_row_refusals():
 
 @pytest.mark.parametrize("a,n,expected", [(5, 1, 1), (2, 3, -1), (5, 9, 1)])
 def test_jacobi_examples(a, n, expected):
-    assert jacobi(a, n) == expected
+    assert jacobi_row(a, n) == jacobi(a, n) == expected
 
 
 def test_jacobi_even_modulus_rejected():
-    with pytest.raises(EvenModulus):
-        jacobi(3, 10)
+    for n in (10, 2, 0, -3):
+        with pytest.raises(EvenModulus):
+            jacobi_row(3, n)
+        with pytest.raises(EvenModulus):
+            jacobi(3, n)
 
 
 def test_jacobi_matches_legendre_products():
     for n in range(1, 1000, 2):
-        for a in range(n):
-            assert jacobi(a, n) == jacobi_by_factorization(a, n), (a, n)
+        row = jacobi_row(np.arange(n, dtype=np.int64), n)
+        assert row.tolist() == [jacobi_by_factorization(a, n) for a in range(n)], n
 
 
 def test_jacobi_squared_is_one_when_coprime():
     for n in range(1, 200, 2):
-        for a in range(n):
-            symbol = jacobi(a, n)
+        for a, symbol in enumerate(jacobi_row(np.arange(n, dtype=np.int64), n).tolist()):
             if math.gcd(a, n) == 1:
                 assert symbol * symbol == 1
             else:
                 assert symbol == 0
+
+
+def test_jacobi_row_matches_scalar_jacobi_on_every_residue_class():
+    # every a in [-n, 2n): negative and unreduced entries are reduced first
+    for n in range(1, 600, 2):
+        a = np.arange(-n, 2 * n, dtype=np.int64)
+        row = jacobi_row(a, n)
+        assert row.dtype == np.int64 and row.shape == a.shape
+        expected = [jacobi(v, n) for v in a.tolist()]
+        assert row.tolist() == expected, n
+        assert expected == [jacobi_by_factorization(v, n) for v in a.tolist()], n
+
+
+def test_jacobi_row_on_the_sweep_moduli():
+    # the closed form's symbols (p | q') over the coprime p of every q <= 300
+    for q in range(1, 301):
+        q_odd = q >> ((q & -q).bit_length() - 1)
+        ps = coprimes_by_gcd(q) or [1]
+        row = jacobi_row(np.array(ps, dtype=np.int64), q_odd)
+        assert row.tolist() == [jacobi(p, q_odd) for p in ps], q
+        assert row.tolist() == [jacobi_by_factorization(p, q_odd) for p in ps], q
+    assert jacobi_row(2**70 + 3, 7) == jacobi((2**70 + 3) % 7, 7)
+    assert jacobi_row(np.arange(4).reshape(2, 2), 3).tolist() == [[0, 1], [-1, 0]]
 
 
 @pytest.mark.parametrize("q,expected", [(1, 1), (12, 4), (7, 6)])
@@ -301,7 +327,9 @@ def test_coprime_window_refusals():
 
 def test_range_guard():
     with pytest.raises(RangeError):
-        mod_inverse(3, MAX_MODULUS + 1)
+        inverse_row(np.array([3]), MAX_MODULUS + 1)
+    with pytest.raises(RangeError):
+        jacobi_row(3, MAX_MODULUS + 1)
     with pytest.raises(RangeError):
         euler_totient(0)
 

@@ -9,7 +9,7 @@ import pytest
 from filament_prng import prng
 from filament_prng.errors import BadParameters, BadPrimes, CompositeModulus, RangeError, TooLarge
 from filament_prng.filament import circle_row, corner_angle
-from filament_prng.modular import euler_totient, mod_inverse
+from filament_prng.modular import euler_totient
 from filament_prng.prng import (
     MAX_STREAM_SAMPLES,
     Stream,
@@ -21,7 +21,7 @@ from filament_prng.prng import (
     randu_preset,
     vfe_unit_samples,
 )
-from helpers import coprime_reference, lcg_reference
+from helpers import coprime_reference, lcg_reference, mod_inverse
 
 
 def assert_concatenates(whole: Stream, head: Stream, tail: Stream) -> None:

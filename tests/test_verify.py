@@ -13,7 +13,7 @@ from filament_prng.verify import (
     verify_gauss,
     verify_theorem1,
 )
-from helpers import coprimes_by_gcd
+from helpers import coprimes_by_gcd, gauss_errors_per_chunk
 
 
 def test_suite_result_describe():
@@ -28,6 +28,42 @@ def test_gauss_sweep_deterministic():
     again = verify_gauss(q_max=60)
     assert first == again
     assert all(s.passed for s in first)
+
+
+def test_gauss_sweep_matches_the_per_chunk_evaluation():
+    # the per-q work taken out of the chunk loop changes no value: both
+    # (error, cases) pairs equal those of whole closed_row calls per chunk
+    for q in range(1, 61):
+        assert verify._gauss_errors_for_q(q) == gauss_errors_per_chunk(q, verify._CHUNK_ELEMS), q
+
+
+def test_gauss_sweep_grids_equal_closed_row(monkeypatch):
+    # every chunk's grid, read from slices of the per-p part computed once
+    # per q, is closed_row of that chunk's p at the active indices
+    compared = {}
+    chunks = []
+    direct_row = verify.gauss_direct_row
+
+    def recording_direct_row(a, q):
+        chunks.append(-a)
+        return direct_row(a, q)
+
+    def checked_grid(q, ms):
+        grid = gauss.closed_grid(q, ms)
+
+        def checked(*coefficients):
+            out = grid(*coefficients)
+            ps = chunks[-1]
+            assert np.array_equal(out, gauss.closed_row(ps, q, ms)), (q, ps)
+            compared[q] = compared.get(q, 0) + len(ps)
+            return out
+
+        return checked
+
+    monkeypatch.setattr(verify, "gauss_direct_row", recording_direct_row)
+    monkeypatch.setattr(verify, "closed_grid", checked_grid)
+    verify_gauss(300)
+    assert compared == {q: len(coprimes_by_gcd(q) or [1]) for q in range(1, 301)}
 
 
 def test_sweep_work_budget_refused_before_any_work():
