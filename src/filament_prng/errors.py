@@ -10,10 +10,6 @@ class DomainError(ValueError):
     """Base class for contract violations raised by this package."""
 
 
-class NotInvertible(DomainError):
-    pass
-
-
 class NotCoprime(DomainError):
     pass
 

@@ -6,15 +6,17 @@ Each corner applies a fixed-angle rotation (`rotation_stack`) whose axis
 is set by a Gauss-sum phase; the phases repeat after q (odd q) or q/2
 corners.  The triple and scalar products at a corner pair read its two
 rotations, the closure product is P**M for P the product over one period,
-and `z_qm_closed` predicts both from one modular inverse.  Only
-`polygon_windows` (behind `build_polygon`) transports a frame through every
-corner."""
+and `z_qm_closed` predicts both from one modular inverse.  The products
+and residuals of several sides M at one q share one stack of rotations
+(`corner_products_sides`, `closure_residual_sides`); the forms for one M
+are views of those.  Only `polygon_windows` (behind `build_polygon`)
+transports a frame through every corner."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from .modular import phi_row
 # Work budget of polygon_windows: K corners cost one Python step and one
 # tangent and vertex row each, so time grows like K (about 4 s for a
 # `polygon` csv export at 2**20 corners on a 2-core machine).  The rows are
-# made one block at a time; the export's peak, 68 MB RSS at q = 349525, is
+# made one block at a time; the export's peak, 59 MB RSS at q = 349525, is
 # set by the phases of one period, whose Gauss-sum row is one FFT.
 MAX_POLYGON_CORNERS = 2**20
 
@@ -100,13 +102,18 @@ def rotation_stack(angle: CornerAngle, thetas: np.ndarray) -> np.ndarray:
     Identity when rho = 0; for theta = 0 it reduces to an in-plane turn
     [[c, s, 0], [-s, c, 0], [0, 0, 1]].
     """
-    return _rotations(angle, np.cos(thetas), np.sin(thetas))
+    return _rotations(angle.cos_rho, angle.sin_rho, np.cos(thetas), np.sin(thetas))
 
 
-def _rotations(angle: CornerAngle, ct: np.ndarray, st: np.ndarray) -> np.ndarray:
-    """rotation_stack from the cosines and sines of the phases."""
-    c, s = angle.cos_rho, angle.sin_rho
-    out = np.empty(np.shape(ct) + (3, 3))
+def _rotations(
+    c: float | np.ndarray, s: float | np.ndarray, ct: np.ndarray, st: np.ndarray
+) -> np.ndarray:
+    """rotation_stack from the cosine c and sine s of the corner angle and
+    the cosines and sines of the phases.  Scalar c and s give the phases'
+    shape (..., 3, 3); arrays of S angles give (S, ..., 3, 3), one stack
+    per angle."""
+    c, s = (np.reshape(v, np.shape(v) + (1,) * np.ndim(ct)) for v in (c, s))
+    out = np.empty(np.broadcast_shapes(c.shape, np.shape(ct)) + (3, 3))
     out[..., 0, 0] = c
     out[..., 0, 1] = s * ct
     out[..., 0, 2] = s * st
@@ -117,6 +124,15 @@ def _rotations(angle: CornerAngle, ct: np.ndarray, st: np.ndarray) -> np.ndarray
     out[..., 2, 1] = out[..., 1, 2]
     out[..., 2, 2] = c * st * st + ct * ct
     return out
+
+
+def _side_rotations(sides: Sequence[int], q: int, thetas: np.ndarray) -> np.ndarray:
+    """(S, ..., L, 3, 3): the rotation stack of each of the S sides at q,
+    from one cosine and sine of the phases."""
+    angles = [corner_angle(m, q) for m in sides]
+    c = np.array([a.cos_rho for a in angles])
+    s = np.array([a.sin_rho for a in angles])
+    return _rotations(c, s, np.cos(thetas), np.sin(thetas))
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:
@@ -133,15 +149,24 @@ def _ordered_product(mats: np.ndarray) -> np.ndarray:
     return mats[..., 0, :, :]
 
 
-def closure_residual_stack(sides: int, q: int, thetas: np.ndarray) -> np.ndarray:
-    """Frobenius distance of the full-period rotation product from the
-    identity, one per row (..., ·) of theta_sequence(ps, q): P**sides, for
-    P the ordered product over the row's one period of phases."""
-    period = _ordered_product(rotation_stack(corner_angle(sides, q), thetas))
-    gap = np.linalg.matrix_power(period, sides) - np.eye(3)
+def closure_residual_sides(sides: Sequence[int], q: int, thetas: np.ndarray) -> np.ndarray:
+    """(S, ...) closure residuals, one row per side M of sides: the
+    Frobenius distance of P**M from the identity, for P the ordered product
+    over each row (..., ·) of theta_sequence(ps, q).  The S rotation stacks
+    share one ordered product; only the power is taken per side."""
+    periods = _ordered_product(_side_rotations(sides, q, thetas))
+    powers = np.stack([np.linalg.matrix_power(p, m) for p, m in zip(periods, sides)])
+    gap = powers - np.eye(3)
     flat = gap.reshape(gap.shape[:-2] + (1, 9))
     # (1, 9) @ (9, 1) is the dot product np.linalg.norm takes for one matrix.
     return np.sqrt(flat @ np.swapaxes(flat, -1, -2))[..., 0, 0]
+
+
+def closure_residual_stack(sides: int, q: int, thetas: np.ndarray) -> np.ndarray:
+    """Frobenius distance of the full-period rotation product from the
+    identity, one per row (..., ·) of theta_sequence(ps, q): the one-side
+    view of closure_residual_sides."""
+    return closure_residual_sides((sides,), q, thetas)[0]
 
 
 def closure_residual(config: PolygonConfig) -> float:
@@ -178,7 +203,8 @@ def polygon_windows(config: PolygonConfig, rows: int) -> Iterator[np.ndarray]:
     frame = np.eye(3)
     for lo in range(0, config.corner_count, rows):
         phase = np.arange(lo, min(lo + rows, config.corner_count)) % len(thetas)
-        tangents, frame = _tangent_rows(_rotations(angle, ct[phase], st[phase]), frame)
+        rotations = _rotations(angle.cos_rho, angle.sin_rho, ct[phase], st[phase])
+        tangents, frame = _tangent_rows(rotations, frame)
         steps = config.side_length * tangents
         if lo == 0:  # the origin, then the running sums
             block = np.zeros_like(steps)
@@ -201,9 +227,12 @@ def _tangent_rows(rotations: np.ndarray, frame: np.ndarray) -> tuple[np.ndarray,
     return rows, frame
 
 
-def corner_products_stack(sides: int, q: int, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Triple and scalar products (..., K) at every index of the active set,
-    one row per row (..., ·) of theta_sequence(ps, q).
+def corner_products_sides(
+    sides: Sequence[int], q: int, thetas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Triple and scalar products (S, ..., L) over one period of the active
+    index set, one row per side M of sides and per row (..., L) of
+    theta_sequence(ps, q); side M's products repeat this period M times.
 
     Index m reads the tangents before, between and after the corner pair
     (j, j + 1), with j = m except for q = 2 mod 4, which pairs the corner
@@ -211,18 +240,26 @@ def corner_products_stack(sides: int, q: int, thetas: np.ndarray) -> tuple[np.nd
     period).  In the frame at corner j those tangents are e1, a = R_j[0]
     and b = (R_(j+1) R_j)[0], so the triple product is a1 b2 - a2 b1 and
     the scalar product is b0: two rotations per index, no transported
-    frame.  The phases repeat after one row of thetas, so one row of
-    products is computed and tiled sides times.
+    frame.  The S rotation stacks share the cosines and sines of the
+    phases.
     """
-    rots = rotation_stack(corner_angle(sides, q), thetas)  # (..., L, 3, 3)
+    rots = _side_rotations(sides, q, thetas)  # (S, ..., L, 3, 3)
     a = rots[..., 0, :]
     b = (np.roll(a, -1, axis=-2)[..., None, :] @ rots)[..., 0, :]  # R_(j+1)[0] @ R_j
     triples = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
     scalars = b[..., 0]
     if q % 4 == 2:
         triples, scalars = np.roll(triples, 1, axis=-1), np.roll(scalars, 1, axis=-1)
-    reps = (1,) * (triples.ndim - 1) + (sides,)
-    return np.tile(triples, reps), np.tile(scalars, reps)
+    return triples, scalars
+
+
+def corner_products_stack(sides: int, q: int, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Triple and scalar products (..., K) at every index of the active set,
+    one row per row (..., ·) of theta_sequence(ps, q): the one-side view of
+    corner_products_sides, its period tiled sides times."""
+    triples, scalars = corner_products_sides((sides,), q, thetas)
+    reps = (1,) * (triples.ndim - 2) + (sides,)
+    return np.tile(triples[0], reps), np.tile(scalars[0], reps)
 
 
 def corner_products(config: PolygonConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -236,19 +273,24 @@ def circle_row(angle: CornerAngle, u: np.ndarray | float) -> np.ndarray:
     """The points i c^2 - i s^2 exp(2 pi i u) of the circle of center i c^2
     and radius s^2, one per phase u (a scalar gives a 0-d array)."""
     alpha = TWO_PI * np.asarray(u, dtype=float)
+    return circle_points(angle, np.sin(alpha), np.cos(alpha))
+
+
+def circle_points(angle: CornerAngle, sin_alpha: np.ndarray, cos_alpha: np.ndarray) -> np.ndarray:
+    """circle_row from the sines and cosines of alpha = 2 pi u, so that
+    circles of several angles can share them.  The real and imaginary parts
+    are assigned, not added, so a signed zero survives."""
     c2, s2 = angle.cos_rho**2, angle.sin_rho**2
-    out = np.empty(alpha.shape, dtype=complex)
-    out.real = s2 * np.sin(alpha)
-    out.imag = c2 - s2 * np.cos(alpha)
+    out = np.empty(np.shape(sin_alpha), dtype=complex)
+    out.real = s2 * sin_alpha
+    out.imag = c2 - s2 * cos_alpha
     return out
 
 
-def z_qm_closed(
-    sides: int, q: int, p: int | np.ndarray, m: int | np.ndarray
-) -> complex | np.ndarray:
-    """Closed form of triple + i * scalar at quantity index m (an int or an
-    int64 index array): i c^2 - i s^2 exp(2 pi i phi (2m+1) / q), or with
-    exponent phi m / (q/2) when q = 2 mod 4.
+def closed_phase_row(p: int | np.ndarray, q: int, m: int | np.ndarray) -> np.ndarray:
+    """The exact phase u = phi k mod den / den of the closed form at index
+    m (an int or an int64 index array), k = 2m + 1 mod q, or k = m mod q/2
+    when q = 2 mod 4.
 
     p is an int or an int64 array (a column (P, 1) against a row of m gives
     a (P, len(m)) stack), its phi taken in one phi_row.  The index is
@@ -261,4 +303,16 @@ def z_qm_closed(
         k = m % den
     else:
         k = (2 * (m % q) + 1) % q
-    return circle_row(corner_angle(sides, q), phi * k % den / den)[()]
+    return phi * k % den / den
+
+
+def z_qm_closed(
+    sides: int, q: int, p: int | np.ndarray, m: int | np.ndarray
+) -> complex | np.ndarray:
+    """Closed form of triple + i * scalar at quantity index m (an int or an
+    int64 index array): i c^2 - i s^2 exp(2 pi i phi (2m+1) / q), or with
+    exponent phi m / (q/2) when q = 2 mod 4, the circle_row of
+    closed_phase_row.  p is an int or an int64 array, as there.
+    """
+    u = closed_phase_row(p, q, m)
+    return circle_row(corner_angle(sides, q), u)[()]

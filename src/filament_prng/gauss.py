@@ -19,6 +19,10 @@ from .modular import _check_modulus, coprime_row, factor_pow2, inverse_row, jaco
 
 TWO_PI = 2.0 * math.pi
 
+# Phases converted to Python floats for math.atan2 at a time, so a long
+# period never becomes two whole lists of Python floats.
+_ATAN2_WINDOW = 2**14
+
 # i**k for k mod 4, kept exact on the unit circle.
 _I_POW = np.array([1 + 0j, 1j, -1 + 0j, -1j])
 
@@ -160,13 +164,18 @@ def theta_sequence(p: int | np.ndarray, q: int) -> np.ndarray:
     active_indices(q): one row for an int p, a (P, ·) stack of rows for an
     int64 array of P values.
 
-    Each phase is taken with math.atan2: np.arctan2 differs from it in the
-    last bit for some sums, which would change the polygon bytes.
+    Each phase is taken with math.atan2, in windows of _ATAN2_WINDOW
+    sums: np.arctan2 differs from it in the last bit for some sums, which
+    would change the polygon bytes.
     """
     ps = coprime_row(p, q)
     active = active_indices(q)
     rows = gauss_direct_row(-ps, q)[..., active.start :: active.step]
-    phases = map(math.atan2, rows.imag.ravel().tolist(), rows.real.ravel().tolist())
-    thetas = np.fromiter(phases, float, rows.size).reshape(rows.shape) % TWO_PI
+    im, re = rows.imag.ravel(), rows.real.ravel()
+    thetas = np.empty(rows.size)
+    for lo in range(0, rows.size, _ATAN2_WINDOW):
+        y, x = im[lo : lo + _ATAN2_WINDOW].tolist(), re[lo : lo + _ATAN2_WINDOW].tolist()
+        thetas[lo : lo + len(y)] = np.fromiter(map(math.atan2, y, x), float, len(y))
+    thetas = np.remainder(thetas, TWO_PI, out=thetas).reshape(rows.shape)
     thetas[thetas >= TWO_PI] = 0.0  # rounding of tiny negative angles
     return thetas

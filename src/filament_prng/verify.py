@@ -18,11 +18,14 @@ import numpy as np
 from .errors import BadParameters, TooLarge
 from .filament import (
     MAX_POLYGON_CORNERS,
-    closure_residual_stack,
-    corner_products_stack,
-    z_qm_closed,
+    circle_points,
+    closed_phase_row,
+    closure_residual_sides,
+    corner_angle,
+    corner_products_sides,
 )
 from .gauss import (
+    TWO_PI,
     active_indices,
     closed_grid,
     closed_prefactor,
@@ -151,10 +154,11 @@ def _polygon_sweep(
     sides_range: tuple[int, int],
     q_max: int,
     tolerance: float,
-    error: Callable[[int, int, np.ndarray, np.ndarray], tuple[float, int]],
+    errors: Callable[[range, int, np.ndarray, np.ndarray], list[tuple[float, int]]],
 ) -> SuiteResult:
-    """Worst (error, cases) of `error(sides, q, ps, thetas)` over every valid
-    (sides, q, p), with p in batches whose theta rows serve every sides.
+    """Worst (error, cases) over every valid (sides, q, p), with p in
+    batches whose theta rows serve every sides: `errors(sides, q, ps,
+    thetas)` gives one (error, cases) per sides value of the range.
 
     Refused before any work when a polygon of the sweep could have more
     than MAX_POLYGON_CORNERS corners, the budget build_polygon keeps, when
@@ -171,34 +175,63 @@ def _polygon_sweep(
     _check_sweep(name, max(sides_hi - sides_lo + 1, 0) * sides_hi * max(q_max, 0) ** 3)
     if sides_lo > sides_hi:  # refused here: the q loop builds theta rows before any sides
         raise BadParameters(f"{name} sweep has no cases for these parameters")
+    sides = range(sides_lo, sides_hi + 1)
     rows = []
     for q in range(1, q_max + 1):
         corners = sides_hi * q if q % 2 else sides_hi * q // 2
         residues = _sweep_residues(q)
         for part in _chunks(len(residues), corners):
             ps = residues[part]
-            thetas = theta_sequence(ps, q)
-            rows.extend(error(sides, q, ps, thetas) for sides in range(sides_lo, sides_hi + 1))
+            rows.extend(errors(sides, q, ps, theta_sequence(ps, q)))
     return _suite(name, rows, tolerance)
 
 
-def _theorem1_error(sides: int, q: int, ps: np.ndarray, thetas: np.ndarray) -> tuple[float, int]:
-    triples, scalars = corner_products_stack(sides, q, thetas)
-    closed = z_qm_closed(sides, q, ps[:, None], np.arange(triples.shape[-1]))
-    return float(np.max(np.hypot(triples - closed.real, scalars - closed.imag))), triples.size
+def _closed_circles(sides: range, q: int, ps: np.ndarray, period: int) -> Iterator[np.ndarray]:
+    """z_qm_closed(M, q, ps[:, None], range(M * period)) for each M of sides,
+    in order: one phase row over the largest M's indices and one sine and
+    cosine of it serve every M, whose circle reads their first M * period
+    columns."""
+    alpha = TWO_PI * closed_phase_row(ps[:, None], q, np.arange(sides[-1] * period))
+    sin_alpha, cos_alpha = np.sin(alpha), np.cos(alpha)
+    for m in sides:
+        k = m * period
+        yield circle_points(corner_angle(m, q), sin_alpha[:, :k], cos_alpha[:, :k])
 
 
-def _closure_error(sides: int, q: int, ps: np.ndarray, thetas: np.ndarray) -> tuple[float, int]:
-    return float(np.max(closure_residual_stack(sides, q, thetas))), len(ps)
+def _theorem1_errors(
+    sides: range, q: int, ps: np.ndarray, thetas: np.ndarray
+) -> list[tuple[float, int]]:
+    """Per M of sides, the worst distance of the (P, M L) corner products
+    from the closed form, and their count.  Each M's products are one
+    period repeated, so they are compared with the closed form's M periods
+    by broadcasting instead of tiling."""
+    period = thetas.shape[-1]
+    periods = (len(ps), -1, period)  # (P, M, L)
+    triples, scalars = corner_products_sides(sides, q, thetas)  # (S, P, L)
+    rows = []
+    for t, s, closed in zip(triples, scalars, _closed_circles(sides, q, ps, period)):
+        gap = np.hypot(
+            t[:, None, :] - closed.real.reshape(periods),
+            s[:, None, :] - closed.imag.reshape(periods),
+        )
+        rows.append((float(np.max(gap)), closed.size))
+    return rows
+
+
+def _closure_errors(
+    sides: range, q: int, ps: np.ndarray, thetas: np.ndarray
+) -> list[tuple[float, int]]:
+    return [(float(np.max(r)), len(ps)) for r in closure_residual_sides(sides, q, thetas)]
 
 
 def verify_theorem1(
     sides_range: tuple[int, int] = (3, 8), q_max: int = 40
 ) -> SuiteResult:
     """Triple and scalar products at every corner pair, read from its two
-    corner rotations over one period of phases and tiled over the sides,
-    against the closed form, for every valid (sides, q, p, m)."""
-    return _polygon_sweep("theorem1", sides_range, q_max, 1e-8, _theorem1_error)
+    corner rotations over one period of phases and repeated over the sides,
+    against the closed form, for every valid (sides, q, p, m).  The sides
+    of one batch share one rotation stack and one closed-form phase row."""
+    return _polygon_sweep("theorem1", sides_range, q_max, 1e-8, _theorem1_errors)
 
 
 def verify_closure(
@@ -206,8 +239,9 @@ def verify_closure(
 ) -> SuiteResult:
     """Frobenius residual of the full-period rotation product, the power
     P**sides of the ordered product P over one period of phases, against
-    the identity, for every valid (sides, q, p)."""
-    return _polygon_sweep("closure", sides_range, q_max, 1e-7, _closure_error)
+    the identity, for every valid (sides, q, p).  The sides of one batch
+    share one rotation stack and one ordered product."""
+    return _polygon_sweep("closure", sides_range, q_max, 1e-7, _closure_errors)
 
 
 def verify_compound(

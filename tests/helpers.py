@@ -2,9 +2,12 @@
 
 Everything here recomputes expected values by brute force (enumeration,
 direct counting, factorization, scalar algorithms) and never calls the code
-paths it checks.  The one exception, `gauss_errors_per_chunk`, is the
-sweep's own per-chunk evaluation through the whole-row library functions,
-kept as the oracle of the sweep that hoists their per-q work.
+paths it checks.  The exceptions are the sweeps' own evaluations through
+the library's one-value forms, kept as the oracles of the sweeps that
+share work across them: `gauss_errors_per_chunk` evaluates every chunk
+of the gauss sweep through the whole-row functions, and
+`polygon_sweep_per_side` evaluates the theorem1 and closure sweeps one
+number of sides at a time.
 """
 
 from __future__ import annotations
@@ -16,8 +19,16 @@ from functools import reduce
 
 import numpy as np
 
-from filament_prng.errors import EvenModulus, NotInvertible
-from filament_prng.gauss import active_indices, closed_row, gauss_direct_row, gauss_magnitude
+from filament_prng.errors import DomainError, EvenModulus
+from filament_prng.filament import closure_residual_stack, corner_products_stack, z_qm_closed
+from filament_prng.gauss import (
+    active_indices,
+    closed_row,
+    gauss_direct_row,
+    gauss_magnitude,
+    theta_sequence,
+)
+from filament_prng.verify import SuiteResult
 
 
 def inverse_by_search(a: int, n: int) -> int | None:
@@ -28,6 +39,12 @@ def inverse_by_search(a: int, n: int) -> int | None:
         if a * x % n == 1:
             return x
     return None
+
+
+class NotInvertible(DomainError):
+    """The mod_inverse oracle's refusal of a residue with no inverse.  No
+    library code raises it: the library inverts units only, checked first
+    by coprime_row (NotCoprime)."""
 
 
 def mod_inverse(a: int, n: int) -> int:
@@ -233,6 +250,42 @@ def gauss_errors_per_chunk(q: int, chunk_elems: int = 2**12):
             closed_err, float(np.max(np.abs(closed - rows[:, active]), initial=0.0)) / scale
         )
     return (mag_err, q * len(ps)), (closed_err, len(active) * len(ps))
+
+
+def _theorem1_error(sides: int, q: int, ps: np.ndarray, thetas: np.ndarray) -> tuple[float, int]:
+    triples, scalars = corner_products_stack(sides, q, thetas)
+    closed = z_qm_closed(sides, q, ps[:, None], np.arange(triples.shape[-1]))
+    return float(np.max(np.hypot(triples - closed.real, scalars - closed.imag))), triples.size
+
+
+def _closure_error(sides: int, q: int, ps: np.ndarray, thetas: np.ndarray) -> tuple[float, int]:
+    return float(np.max(closure_residual_stack(sides, q, thetas))), len(ps)
+
+
+POLYGON_SWEEPS = {"theorem1": (_theorem1_error, 1e-8), "closure": (_closure_error, 1e-7)}
+
+
+def polygon_sweep_per_side(
+    name: str, sides_range: tuple[int, int], q_max: int, chunk_elems: int = 2**12
+) -> SuiteResult:
+    """The theorem1 or closure sweep with each number of sides M evaluated
+    on its own, in the sweep's batches of coprime p: per M, the tiled
+    corner products of corner_products_stack against z_qm_closed over all
+    M periods, or closure_residual_stack."""
+    error, tolerance = POLYGON_SWEEPS[name]
+    sides_lo, sides_hi = sides_range
+    rows = []
+    for q in range(1, q_max + 1):
+        corners = sides_hi * q if q % 2 else sides_hi * q // 2
+        ps = np.array(coprimes_by_gcd(q) or [1], dtype=np.int64)
+        size = max(1, chunk_elems // corners)
+        for lo in range(0, len(ps), size):
+            chunk = ps[lo : lo + size]
+            thetas = theta_sequence(chunk, q)
+            rows.extend(error(sides, q, chunk, thetas) for sides in range(sides_lo, sides_hi + 1))
+    return SuiteResult(
+        name, sum(c for _, c in rows), float(np.max([e for e, _ in rows])), tolerance
+    )
 
 
 def table_csv_by_rows(columns: dict[str, np.ndarray]) -> str:

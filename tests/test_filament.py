@@ -11,12 +11,15 @@ from filament_prng.filament import (
     CornerAngle,
     PolygonConfig,
     RationalTime,
+    _side_rotations,
     build_polygon,
     circle_row,
     closure_residual,
+    closure_residual_sides,
     closure_residual_stack,
     corner_angle,
     corner_products,
+    corner_products_sides,
     corner_products_stack,
     polygon_windows,
     rotation_stack,
@@ -376,3 +379,24 @@ def test_stacked_rows_equal_single_polygon_rows():
                 assert residuals[i] == closure_residual_stack(sides, q, single)
                 polygons += 1
     assert polygons == 2940
+
+
+def test_side_stacks_equal_one_side_forms_byte_for_byte():
+    # every q <= 60 (all four classes mod 4) and M = 3..10: the rotations,
+    # products and residuals of one stack over every M equal the one-side
+    # forms byte for byte, so signed zeros too (the rotations hold -0.0)
+    sides = range(3, 11)
+    negative_zeros = 0
+    for q in range(1, 61):
+        thetas = theta_sequence(np.array(coprimes_by_gcd(q) or [1], dtype=np.int64), q)
+        rotations = _side_rotations(sides, q, thetas)
+        triples, scalars = corner_products_sides(sides, q, thetas)
+        residuals = closure_residual_sides(sides, q, thetas)
+        for i, m in enumerate(sides):
+            assert rotations[i].tobytes() == rotation_stack(corner_angle(m, q), thetas).tobytes()
+            one_t, one_s = corner_products_stack(m, q, thetas)
+            assert np.tile(triples[i], (1, m)).tobytes() == one_t.tobytes(), (q, m)
+            assert np.tile(scalars[i], (1, m)).tobytes() == one_s.tobytes(), (q, m)
+            assert residuals[i].tobytes() == closure_residual_stack(m, q, thetas).tobytes()
+        negative_zeros += int(np.sum((rotations == 0) & np.signbit(rotations)))
+    assert negative_zeros > 0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from filament_prng.errors import EvenModulus, NotCoprime, NotInvertible, RangeError
+from filament_prng.errors import EvenModulus, NotCoprime, RangeError
 from filament_prng.modular import (
     MAX_MODULUS,
     _prime_factors,
@@ -23,6 +23,7 @@ from filament_prng.modular import (
 from filament_prng.filament import z_qm_closed
 from filament_prng.prng import StreamSpec, eicg_stream
 from helpers import (
+    NotInvertible,
     coprime_reference,
     coprimes_by_gcd,
     factorize,

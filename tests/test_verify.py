@@ -13,7 +13,7 @@ from filament_prng.verify import (
     verify_gauss,
     verify_theorem1,
 )
-from helpers import coprimes_by_gcd, gauss_errors_per_chunk
+from helpers import coprimes_by_gcd, gauss_errors_per_chunk, polygon_sweep_per_side
 
 
 def test_suite_result_describe():
@@ -64,6 +64,46 @@ def test_gauss_sweep_grids_equal_closed_row(monkeypatch):
     monkeypatch.setattr(verify, "closed_grid", checked_grid)
     verify_gauss(300)
     assert compared == {q: len(coprimes_by_gcd(q) or [1]) for q in range(1, 301)}
+
+
+@pytest.mark.parametrize("sides_range", [(3, 3), (3, 8), (4, 10)])
+def test_polygon_sweeps_match_the_per_side_evaluation(sides_range):
+    # the sides share one stack of rotations and one closed-form phase row
+    # per chunk; every q <= 60, in all four classes mod 4, gives the
+    # SuiteResult of each number of sides evaluated on its own
+    assert verify_theorem1(sides_range, 60) == polygon_sweep_per_side("theorem1", sides_range, 60)
+    assert verify_closure(sides_range, 60) == polygon_sweep_per_side("closure", sides_range, 60)
+
+
+def test_shared_closed_circles_equal_z_qm_closed_byte_for_byte():
+    # one phase row, sine and cosine over the largest M's indices serve
+    # every M: each circle is z_qm_closed's over that M's own index range
+    sides = range(3, 11)
+    for q in range(1, 61):
+        ps = np.array(coprimes_by_gcd(q) or [1], dtype=np.int64)
+        period = len(gauss.active_indices(q))
+        circles = list(verify._closed_circles(sides, q, ps, period))
+        assert len(circles) == len(sides)
+        for m, circle in zip(sides, circles):
+            closed = filament.z_qm_closed(m, q, ps[:, None], np.arange(m * period))
+            assert circle.tobytes() == closed.tobytes(), (q, m)
+
+
+_side_rotations = filament._side_rotations
+
+
+def test_swapped_side_angles_break_the_per_side_match(monkeypatch):
+    # the rotation stacks of the first two sides swapped: the per-side
+    # oracle, whose stacks hold one side each, is untouched, and neither
+    # sweep matches it any more
+    def swapped(sides, q, thetas):
+        order = list(sides)
+        order[:2] = order[1::-1]
+        return _side_rotations(order, q, thetas)
+
+    monkeypatch.setattr(filament, "_side_rotations", swapped)
+    assert verify_theorem1((3, 5), 20) != polygon_sweep_per_side("theorem1", (3, 5), 20)
+    assert verify_closure((3, 5), 20) != polygon_sweep_per_side("closure", (3, 5), 20)
 
 
 def test_sweep_work_budget_refused_before_any_work():
@@ -145,28 +185,38 @@ def test_compound_sweep_windows_give_the_whole_stream_result(monkeypatch):
 
 
 def test_sweep_batches_stay_under_the_chunk_cap(monkeypatch):
-    widths = []  # (P, entries per p) of every stacked call
+    widths = []  # (P, entries per p) of every stacked row
 
-    def probe(fn, width):
+    def probe(fn, rows_of):
         def probed(*args):
             out = fn(*args)
-            widths.append(width(out))
+            widths.extend(rows_of(args, out))
             return out
         return probed
 
-    monkeypatch.setattr(verify, "gauss_direct_row", probe(verify.gauss_direct_row, np.shape))
+    monkeypatch.setattr(
+        verify, "gauss_direct_row", probe(verify.gauss_direct_row, lambda args, out: [out.shape])
+    )
     suites = verify_gauss(q_max=100)
     assert sum(p * q for p, q in widths) == suites[0].cases  # every row went through a stack
     assert max(p * q for p, q in widths) <= verify._CHUNK_ELEMS
     assert max(p for p, _ in widths) > 1
 
     widths.clear()
-    products = probe(verify.corner_products_stack, lambda out: out[0].shape)
-    monkeypatch.setattr(verify, "corner_products_stack", products)
+    stacks = []  # entries of every (S, P, L) stack over the sides
+
+    def side_rows(args, out):  # side M's (P, M L) products repeat the stack's period
+        stacks.append(out[0].size)
+        _, p, period = out[0].shape
+        return [(p, m * period) for m in args[0]]
+
+    products = probe(verify.corner_products_sides, side_rows)
+    monkeypatch.setattr(verify, "corner_products_sides", products)
     suite = verify_theorem1((3, 8), 40)
     assert sum(p * k for p, k in widths) == suite.cases
     assert max(p * k for p, k in widths) <= verify._CHUNK_ELEMS
     assert max(p for p, _ in widths) > 1
+    assert max(stacks) <= verify._CHUNK_ELEMS
 
 
 def _phi_off_by_one(p, q):
