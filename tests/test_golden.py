@@ -136,6 +136,10 @@ GOLDEN = {
         "f58a24095f58cd2a73bbb68b0f72a2c70b03c30f401fd679aec59ca59ccdf313",
     "stats serial --kind eicg -q 401 -a 17 -b 5 -k 3 --lags 0,100,250":
         "58d3ce90c3d3fc0710104d4dccb872fd772dd6dff8757a73f7debd32a07cc64b",
+    # The largest k = 3 grid MAX_EXACT_BOXES admits, (1021 + 1)**3 boxes,
+    # pinned before the scan skipped blocks by their corner bounds.
+    "stats serial --kind eicg -q 1021 -k 3 --lags 0,1,2":
+        "01b08dd97d0fce582a8e0ac8166750965bcb148dd2eeb18b911a6ec980fd49a4",
     "stats serial --kind lcg -a 5 -b 1 -q 64 -n 300 -k 3":
         "848353b1b5dfb4325a1a161fd81627c3ab20f4f37b3bc7f642deb4daf79ecc63",
     "stats serial --kind lcg -a 5 -b 1 -q 16 -n 200 -k 2 --lags 0,3":

@@ -171,21 +171,74 @@ def _scan_clouds(k: int, levels: int | None, seed: int):
 @pytest.mark.parametrize("levels", [None, *range(1, 12)])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_star_scan_is_the_full_grid_scan_bit_for_bit(k, levels):
-    # Skipping the boxes whose count did not change loses no maximum: the
+    # Skipping the boxes whose count did not change, and the blocks whose
+    # corner bound cannot beat the running maximum, loses no maximum: the
     # same double, not a close one, on random and tie-heavy clouds.
     for seed in range(2):
         for pts in _scan_clouds(k, levels, seed):
             assert star_discrepancy(cloud_from(pts)) == star_scan_full_grid(pts, len(pts))
 
 
+# Block edges forced on the scan in place of its rule: 1 (every box its own
+# block), 2 and 3 (axes of every length, most not a multiple of the edge),
+# and one past the longest axis (one block holding the whole grid).
+FORCED_EDGES = {
+    "edge1": lambda shape: 1,
+    "edge2": lambda shape: 2,
+    "edge3": lambda shape: 3,
+    "one-block": lambda shape: max(shape, default=1) + 1,
+}
+
+
+@pytest.mark.parametrize("levels", [None, *range(1, 12)])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("edge", list(FORCED_EDGES))
+def test_star_scan_is_the_full_grid_scan_at_any_block_edge(edge, k, levels, monkeypatch):
+    monkeypatch.setattr(stattest, "_block_edge", FORCED_EDGES[edge])
+    for seed in range(2):
+        for pts in _scan_clouds(k, levels, seed):
+            assert star_discrepancy(cloud_from(pts)) == star_scan_full_grid(pts, len(pts))
+
+
+def _golden_eicg_cloud(q: int, lags: tuple[int, ...]) -> TupleCloud:
+    # the clouds of the golden `stats serial --kind eicg -a 17 -b 5` cases
+    return make_tuples(eicg_stream(StreamSpec.eicg(q, a=17, b=5), q).u, len(lags), lags)
+
+
 @pytest.mark.parametrize(
     "q,lags", [(4093, (0, 1234)), (401, (0, 100, 250))], ids=["k2-q4093", "k3-q401"]
 )
-def test_star_scan_is_the_full_grid_scan_on_golden_eicg_clouds(q, lags):
-    # the clouds of the golden `stats serial --kind eicg -a 17 -b 5` cases
-    samples = eicg_stream(StreamSpec.eicg(q, a=17, b=5), q).u
-    cloud = make_tuples(samples, len(lags), lags)
-    assert star_discrepancy(cloud) == star_scan_full_grid(cloud.points, q)
+def test_star_scan_is_the_full_grid_scan_on_golden_eicg_clouds(q, lags, monkeypatch):
+    cloud = _golden_eicg_cloud(q, lags)
+    expected = star_scan_full_grid(cloud.points, q)
+    assert star_discrepancy(cloud) == expected
+    for rule in FORCED_EDGES.values():
+        monkeypatch.setattr(stattest, "_block_edge", rule)
+        assert star_discrepancy(cloud) == expected
+
+
+def test_star_scan_evaluates_a_small_share_of_the_changed_regions(monkeypatch):
+    # A scan that evaluated every box whose count changes at each x (the
+    # region above the lowest corner of x's points, read open and closed,
+    # and every box at x = 1.0) would hand all of those cells to the term
+    # evaluation; the block bounds let under 2 % of them through.
+    cloud = _golden_eicg_cloud(401, (0, 100, 250))
+    received = []
+    evaluate = stattest._terms_max
+
+    def counted(x, vol, counts, n, opened):
+        received.append(np.size(vol))
+        return evaluate(x, vol, counts, n, opened)
+
+    monkeypatch.setattr(stattest, "_terms_max", counted)
+    assert star_discrepancy(cloud) == star_scan_full_grid(cloud.points, cloud.n)
+    axes = [np.unique(column, return_inverse=True) for column in cloud.points.T]
+    sizes = np.array([len(values) + 1 for values, _ in axes[1:]])
+    ix = axes[0][1]
+    lows = np.full((ix.max() + 1, len(sizes)), sizes.max())
+    np.minimum.at(lows, ix, np.stack([inverse for _, inverse in axes[1:]], axis=1))
+    regions = int(np.prod(sizes - lows, axis=1).sum() + np.prod(sizes))
+    assert 0 < sum(received) < 0.02 * 2 * regions
 
 
 def test_serial_test_eicg_within_bound():
