@@ -276,19 +276,34 @@ def randu_plane_labels(sample_count: int) -> set[int]:
     The triples are read in windows of at most _RANDU_WINDOW, each window's
     states from one jump-ahead lcg_stream call, so memory is bounded by one
     window; the sample count is refused beyond MAX_STREAM_SAMPLES, as one
-    stream call would refuse it."""
+    stream call would refuse it.
+
+    The modulus q = 2^31 is a power of two, so each combination is checked
+    to be a multiple of q by the mask q - 1 and labelled by the arithmetic
+    shift by 31, the floor of combo / q.  With every state in [0, q),
+    combo lies in (-6q, 10q), so every label lies in -6..9 (in -5..9, the
+    15 planes, once combo is a multiple of q) and the labels seen are the
+    nonzero bins of one 16-bin count summed over the windows.
+    A window holding a state outside [0, q) is refused first: a state
+    raised by a multiple of q keeps every combination a multiple of q and
+    can move its labels outside -6..9, to planes that miss the unit cube."""
     if sample_count < 3:
         raise BadParameters(f"need at least 3 samples, got {sample_count}")
     check_budget(sample_count)  # the stream's own refusal, before any window
     spec = randu_preset()
-    labels: set[int] = set()
+    mask, shift = spec.q - 1, spec.q.bit_length() - 1
+    counts = np.zeros(16, dtype=np.int64)
     for start in range(0, sample_count - 2, _RANDU_WINDOW):
         x = lcg_stream(spec, min(_RANDU_WINDOW, sample_count - 2 - start) + 2, start).x
+        if np.any(x >> shift):
+            raise InvariantViolation("RANDU state outside [0, 2^31)")
         combo = x[2:] - 6 * x[1:-1] + 9 * x[:-2]
-        if np.any(combo % spec.q):
+        if np.any(combo & mask):
             raise InvariantViolation("RANDU three-term recurrence violated")
-        labels.update(np.unique(combo // spec.q).tolist())
-    return labels
+        combo >>= shift
+        combo += 6
+        counts += np.bincount(combo, minlength=16)
+    return set((np.flatnonzero(counts) - 6).tolist())
 
 
 def randu_plane_count(sample_count: int) -> int:

@@ -7,7 +7,9 @@ the library's one-value forms, kept as the oracles of the sweeps that
 share work across them: `gauss_errors_per_chunk` evaluates every chunk
 of the gauss sweep through the whole-row functions, and
 `polygon_sweep_per_side` evaluates the theorem1 and closure sweeps one
-number of sides at a time.
+number of sides at a time.  `randu_plane_labels_by_division` reads its
+RANDU states from the library's stream, which tests/test_prng.py checks
+against `lcg_reference`, and labels them by division and sort.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from functools import reduce
 
 import numpy as np
 
-from filament_prng.errors import DomainError, EvenModulus
+from filament_prng.errors import DomainError, EvenModulus, InvariantViolation
 from filament_prng.filament import closure_residual_stack, corner_products_stack, z_qm_closed
 from filament_prng.gauss import (
     active_indices,
@@ -28,6 +30,7 @@ from filament_prng.gauss import (
     gauss_magnitude,
     theta_sequence,
 )
+from filament_prng.prng import lcg_stream, randu_preset
 from filament_prng.verify import SuiteResult
 
 
@@ -215,6 +218,21 @@ def star_scan_full_grid(points: np.ndarray, n: int) -> float:
         best = max(best, float(np.max(frac - xv)))
         below[shifted] = frac[kept]
     return best
+
+
+def randu_plane_labels_by_division(sample_count: int, window: int = 2**16) -> set[int]:
+    """Distinct floor((x_{n+2} - 6 x_{n+1} + 9 x_n) / 2^31) over the first
+    sample_count RANDU states, each window of triples checked to be
+    multiples of 2^31 by % and labelled by // and np.unique."""
+    spec = randu_preset()
+    labels: set[int] = set()
+    for start in range(0, sample_count - 2, window):
+        x = lcg_stream(spec, min(window, sample_count - 2 - start) + 2, start).x
+        combo = x[2:] - 6 * x[1:-1] + 9 * x[:-2]
+        if np.any(combo % spec.q):
+            raise InvariantViolation("RANDU three-term recurrence violated")
+        labels.update(np.unique(combo // spec.q).tolist())
+    return labels
 
 
 def gauss_direct(a: int, b: int, c: int) -> complex:

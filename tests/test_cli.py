@@ -221,6 +221,21 @@ def test_randu_invariant_failure_exits_3_without_traceback(capsys, monkeypatch):
     assert err == "error: RANDU three-term recurrence violated\n"
 
 
+def test_randu_state_out_of_range_exits_3_without_traceback(capsys, monkeypatch):
+    # A state raised by the modulus keeps every combination a multiple of it,
+    # so only the state range check sees it.
+    def broken(spec, count, start=0):
+        stream = prng.lcg_stream(spec, count, start)
+        stream.x[50] += 2**31
+        return stream
+
+    monkeypatch.setattr(stattest, "lcg_stream", broken)
+    code, out, err = run(capsys, "stats", "randu-planes", "-n", "1000")
+    assert code == EXIT_VERIFY
+    assert out == ""
+    assert err == "error: RANDU state outside [0, 2^31)\n"
+
+
 def test_polygon_triangle(capsys):
     code, out, _ = run(capsys, "polygon", "-M", "3", "-q", "1", "-p", "0")
     assert code == EXIT_OK

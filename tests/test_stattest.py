@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filament_prng import stattest
-from filament_prng.errors import BadDimension, BadLags, BadT, DomainError, EmptyInput, TooLarge
-from filament_prng.prng import StreamSpec, eicg_stream, vfe_unit_samples
+from filament_prng.errors import (
+    BadDimension,
+    BadLags,
+    BadT,
+    DomainError,
+    EmptyInput,
+    InvariantViolation,
+    TooLarge,
+)
+from filament_prng.prng import StreamSpec, eicg_stream, lcg_stream, vfe_unit_samples
 from filament_prng.stattest import (
     MAX_EXACT_BOXES,
     TupleCloud,
@@ -22,7 +31,7 @@ from filament_prng.stattest import (
     theorem2_upper,
     theorem3_lower,
 )
-from helpers import star_discrepancy_oracle, star_scan_full_grid
+from helpers import randu_plane_labels_by_division, star_discrepancy_oracle, star_scan_full_grid
 
 
 def cloud_from(points) -> TupleCloud:
@@ -334,6 +343,57 @@ def test_randu_windows_cover_every_triple(monkeypatch, window):
     triples = [(x2 - 6 * x1 + 9 * x0) // 2**31 for x0, x1, x2 in zip(xs, xs[1:], xs[2:])]
     for count in range(3, 42):
         assert randu_plane_labels(count) == set(triples[: count - 2]), count
+
+
+@pytest.mark.parametrize(
+    "count", [3, 2**16 + 1, 2**16 + 2, 2**16 + 3, 3 * 2**16 + 2, 1_000_000]
+)
+def test_randu_labels_are_the_division_labels(count):
+    # 2^16 + 2 samples fill one window exactly; 2^16 + 3 add a second window
+    # of one triple.
+    assert randu_plane_labels(count) == randu_plane_labels_by_division(count)
+
+
+@pytest.mark.parametrize("window", [1, 2, 5])
+def test_randu_labels_are_the_division_labels_at_any_window(monkeypatch, window):
+    monkeypatch.setattr(stattest, "_RANDU_WINDOW", window)
+    for count in range(3, 43):
+        assert randu_plane_labels(count) == randu_plane_labels_by_division(count), count
+
+
+@pytest.mark.parametrize("window, state", [(1, 0), (0, -1)])
+def test_randu_check_covers_the_window_seam(monkeypatch, window, state):
+    # One state raised by one as one window reads it: the second window's
+    # first state, seen only by that window's first triple, or the first
+    # window's last state, seen only by its last triple, which reaches two
+    # states into the second window.
+    def broken(spec, count, start=0):
+        stream = lcg_stream(spec, count, start)
+        if start == window * stattest._RANDU_WINDOW:
+            stream.x[state] += 1
+        return stream
+
+    monkeypatch.setattr(stattest, "lcg_stream", broken)
+    with pytest.raises(InvariantViolation, match="recurrence"):
+        randu_plane_labels(2 * stattest._RANDU_WINDOW)
+
+
+def test_randu_peak_memory_is_one_window():
+    # Two and eight windows: one window's states, combinations and count
+    # (about 2 MB traced at both), whatever the sample count.
+    def peak(count: int) -> int:
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            randu_plane_labels(count)
+            _, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return top - before
+
+    window = stattest._RANDU_WINDOW
+    assert peak(8 * window) <= 1.1 * peak(2 * window)
 
 
 def test_randu_monotone_in_count():
