@@ -220,19 +220,16 @@ def star_scan_full_grid(points: np.ndarray, n: int) -> float:
     return best
 
 
-def randu_plane_labels_by_division(sample_count: int, window: int = 2**16) -> set[int]:
+def randu_plane_labels_by_division(sample_count: int) -> set[int]:
     """Distinct floor((x_{n+2} - 6 x_{n+1} + 9 x_n) / 2^31) over the first
-    sample_count RANDU states, each window of triples checked to be
+    sample_count RANDU states, read in one stream call, checked to be
     multiples of 2^31 by % and labelled by // and np.unique."""
     spec = randu_preset()
-    labels: set[int] = set()
-    for start in range(0, sample_count - 2, window):
-        x = lcg_stream(spec, min(window, sample_count - 2 - start) + 2, start).x
-        combo = x[2:] - 6 * x[1:-1] + 9 * x[:-2]
-        if np.any(combo % spec.q):
-            raise InvariantViolation("RANDU three-term recurrence violated")
-        labels.update(np.unique(combo // spec.q).tolist())
-    return labels
+    x = lcg_stream(spec, sample_count).x
+    combo = x[2:] - 6 * x[1:-1] + 9 * x[:-2]
+    if np.any(combo % spec.q):
+        raise InvariantViolation("RANDU three-term recurrence violated")
+    return set(np.unique(combo // spec.q).tolist())
 
 
 def gauss_direct(a: int, b: int, c: int) -> complex:

@@ -354,13 +354,6 @@ def test_randu_labels_are_the_division_labels(count):
     assert randu_plane_labels(count) == randu_plane_labels_by_division(count)
 
 
-@pytest.mark.parametrize("window", [1, 2, 5])
-def test_randu_labels_are_the_division_labels_at_any_window(monkeypatch, window):
-    monkeypatch.setattr(stattest, "_RANDU_WINDOW", window)
-    for count in range(3, 43):
-        assert randu_plane_labels(count) == randu_plane_labels_by_division(count), count
-
-
 @pytest.mark.parametrize("window, state", [(1, 0), (0, -1)])
 def test_randu_check_covers_the_window_seam(monkeypatch, window, state):
     # One state raised by one as one window reads it: the second window's
