@@ -15,9 +15,9 @@ from .filament import (
     RationalTime,
     build_polygon,
     circle_row,
-    closure_residual,
+    closure_residual_sides,
     corner_angle,
-    corner_products,
+    corner_products_sides,
     rotation_stack,
     z_qm_closed,
 )

@@ -214,10 +214,34 @@ def _given(**options) -> dict:
     return {name: value for name, value in options.items() if value is not None}
 
 
+# The stream flags each kind reads, among those some kinds ignore; -n and
+# --start apply to every kind and -M is accepted by every kind.  The RANDU
+# preset reads no flag but itself.
+_STREAM_FLAGS = ("-q", "-a", "-b", "--x0", "--omega", "--preset", "--primes")
+_READS = {
+    "vfe": {"-q"},
+    "eicg": {"-q", "-a", "-b"},
+    "eicg-pow2": {"-q", "-a", "-b", "--omega"},
+    "lcg": {"-q", "-a", "-b", "--x0"},
+    "lcg --preset randu": {"--preset"},
+    "compound": {"--primes"},
+}
+
+
+def _check_stream_flags(args) -> None:
+    """Refuse a stream flag the chosen kind would ignore, naming it."""
+    kind = f"lcg --preset {args.preset}" if args.kind == "lcg" and args.preset else args.kind
+    for flag in _STREAM_FLAGS:
+        if flag not in _READS[kind] and getattr(args, flag.lstrip("-")) is not None:
+            raise BadParameters(f"--kind {kind} does not read {flag}")
+
+
 def _unit_stream(args) -> tuple[int, Callable[[int, int], Stream]]:
     """(total, window) of one of the unit-interval kinds: the stream's
     length, refused before any work by the check the stream call makes
-    first, and window(start, count), its count samples from the start-th."""
+    first, and window(start, count), its count samples from the start-th.
+    A stream flag the kind does not read is refused first."""
+    _check_stream_flags(args)
     coefficients = _given(a=args.a, b=args.b)
     if args.kind == "eicg":
         spec = StreamSpec.eicg(_require(args.q, "-q"), **coefficients)

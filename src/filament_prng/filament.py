@@ -6,11 +6,15 @@ Each corner applies a fixed-angle rotation (`rotation_stack`) whose axis
 is set by a Gauss-sum phase; the phases repeat after q (odd q) or q/2
 corners.  The triple and scalar products at a corner pair read its two
 rotations, the closure product is P**M for P the product over one period,
-and `z_qm_closed` predicts both from one modular inverse.  The products
-and residuals of several sides M at one q share one stack of rotations
-(`corner_products_sides`, `closure_residual_sides`); the forms for one M
-are views of those.  Only `polygon_windows` (behind `build_polygon`)
-transports a frame through every corner."""
+and `z_qm_closed` predicts both from one modular inverse.
+
+One period is the only shape the products are computed in: the M-gon's
+M L products, and the closed form at its M L indices, are one period of L
+repeated M times.  The products and residuals of several sides M at one q
+share one stack of rotations (`corner_products_sides`,
+`closure_residual_sides`); one polygon is the stack of one side and one
+p.  Only `polygon_windows` (behind `build_polygon`) transports a frame
+through every corner."""
 
 from __future__ import annotations
 
@@ -162,19 +166,6 @@ def closure_residual_sides(sides: Sequence[int], q: int, thetas: np.ndarray) -> 
     return np.sqrt(flat @ np.swapaxes(flat, -1, -2))[..., 0, 0]
 
 
-def closure_residual_stack(sides: int, q: int, thetas: np.ndarray) -> np.ndarray:
-    """Frobenius distance of the full-period rotation product from the
-    identity, one per row (..., ·) of theta_sequence(ps, q): the one-side
-    view of closure_residual_sides."""
-    return closure_residual_sides((sides,), q, thetas)[0]
-
-
-def closure_residual(config: PolygonConfig) -> float:
-    """Frobenius distance of the full-period rotation product from identity."""
-    q = config.time.q
-    return float(closure_residual_stack(config.sides, q, theta_sequence(config.time.p, q)))
-
-
 def build_polygon(config: PolygonConfig) -> np.ndarray:
     """Vertex positions (K, 3): cumulative sum of side_length * tangent from
     the origin.  Arc-length side spacing; the traversal closes whenever the
@@ -251,22 +242,6 @@ def corner_products_sides(
     if q % 4 == 2:
         triples, scalars = np.roll(triples, 1, axis=-1), np.roll(scalars, 1, axis=-1)
     return triples, scalars
-
-
-def corner_products_stack(sides: int, q: int, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Triple and scalar products (..., K) at every index of the active set,
-    one row per row (..., ·) of theta_sequence(ps, q): the one-side view of
-    corner_products_sides, its period tiled sides times."""
-    triples, scalars = corner_products_sides((sides,), q, thetas)
-    reps = (1,) * (triples.ndim - 2) + (sides,)
-    return np.tile(triples[0], reps), np.tile(scalars[0], reps)
-
-
-def corner_products(config: PolygonConfig) -> tuple[np.ndarray, np.ndarray]:
-    """All triple and scalar products over the active index set of one
-    polygon: the one-row view of corner_products_stack."""
-    q = config.time.q
-    return corner_products_stack(config.sides, q, theta_sequence(config.time.p, q))
 
 
 def circle_row(angle: CornerAngle, u: np.ndarray | float) -> np.ndarray:

@@ -186,35 +186,20 @@ def _polygon_sweep(
     return _suite(name, rows, tolerance)
 
 
-def _closed_circles(sides: range, q: int, ps: np.ndarray, period: int) -> Iterator[np.ndarray]:
-    """z_qm_closed(M, q, ps[:, None], range(M * period)) for each M of sides,
-    in order: one phase row over the largest M's indices and one sine and
-    cosine of it serve every M, whose circle reads their first M * period
-    columns."""
-    alpha = TWO_PI * closed_phase_row(ps[:, None], q, np.arange(sides[-1] * period))
-    sin_alpha, cos_alpha = np.sin(alpha), np.cos(alpha)
-    for m in sides:
-        k = m * period
-        yield circle_points(corner_angle(m, q), sin_alpha[:, :k], cos_alpha[:, :k])
-
-
 def _theorem1_errors(
     sides: range, q: int, ps: np.ndarray, thetas: np.ndarray
 ) -> list[tuple[float, int]]:
-    """Per M of sides, the worst distance of the (P, M L) corner products
-    from the closed form, and their count.  Each M's products are one
-    period repeated, so they are compared with the closed form's M periods
-    by broadcasting instead of tiling."""
-    period = thetas.shape[-1]
-    periods = (len(ps), -1, period)  # (P, M, L)
+    """Per M of sides, the worst distance of the (P, L) corner products from
+    the closed form's (P, L) circle, and the M P L cases they stand for:
+    both repeat after L indices, so one period is compared for all M.  One
+    phase row over the period, and its sine and cosine, serve every M."""
+    alpha = TWO_PI * closed_phase_row(ps[:, None], q, np.arange(thetas.shape[-1]))
+    sin_alpha, cos_alpha = np.sin(alpha), np.cos(alpha)
     triples, scalars = corner_products_sides(sides, q, thetas)  # (S, P, L)
     rows = []
-    for t, s, closed in zip(triples, scalars, _closed_circles(sides, q, ps, period)):
-        gap = np.hypot(
-            t[:, None, :] - closed.real.reshape(periods),
-            s[:, None, :] - closed.imag.reshape(periods),
-        )
-        rows.append((float(np.max(gap)), closed.size))
+    for m, t, s in zip(sides, triples, scalars):
+        closed = circle_points(corner_angle(m, q), sin_alpha, cos_alpha)
+        rows.append((float(np.max(np.hypot(t - closed.real, s - closed.imag))), m * closed.size))
     return rows
 
 
@@ -228,9 +213,10 @@ def verify_theorem1(
     sides_range: tuple[int, int] = (3, 8), q_max: int = 40
 ) -> SuiteResult:
     """Triple and scalar products at every corner pair, read from its two
-    corner rotations over one period of phases and repeated over the sides,
-    against the closed form, for every valid (sides, q, p, m).  The sides
-    of one batch share one rotation stack and one closed-form phase row."""
+    corner rotations, against the closed form, for every valid (sides, q,
+    p, m).  Both sides of the comparison repeat after one period of L
+    indices, so one period is computed and counted M times.  The sides of
+    one batch share one rotation stack and one closed-form phase row."""
     return _polygon_sweep("theorem1", sides_range, q_max, 1e-8, _theorem1_errors)
 
 

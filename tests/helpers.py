@@ -7,7 +7,11 @@ the library's one-value forms, kept as the oracles of the sweeps that
 share work across them: `gauss_errors_per_chunk` evaluates every chunk
 of the gauss sweep through the whole-row functions, and
 `polygon_sweep_per_side` evaluates the theorem1 and closure sweeps one
-number of sides at a time.  `randu_plane_labels_by_division` reads its
+number of sides at a time.  The library computes the corner products over
+one period of L indices only; `polygon_sweep_per_side` tiles that period
+M times and evaluates the closed form at every one of the M L indices, so
+the one-period sweep stays checked against an every-m evaluation.
+`randu_plane_labels_by_division` reads its
 RANDU states from the library's stream, which tests/test_prng.py checks
 against `lcg_reference`, and labels them by division and sort.
 """
@@ -22,7 +26,7 @@ from functools import reduce
 import numpy as np
 
 from filament_prng.errors import DomainError, EvenModulus, InvariantViolation
-from filament_prng.filament import closure_residual_stack, corner_products_stack, z_qm_closed
+from filament_prng.filament import closure_residual_sides, corner_products_sides, z_qm_closed
 from filament_prng.gauss import (
     active_indices,
     closed_row,
@@ -232,6 +236,24 @@ def randu_plane_labels_by_division(sample_count: int) -> set[int]:
     return set(np.unique(combo // spec.q).tolist())
 
 
+def max_pairs_on_a_line(x: np.ndarray, p: int) -> int:
+    """The largest number of the wraparound pairs (x_n, x_(n+1 mod N)) of
+    the N states x that lie on one line of F_p^2, counted with
+    multiplicity, by brute force: through each pair, the others grouped by
+    their direction from it (the slope dy / dx mod p, or vertical), the
+    largest group plus the copies of the pair itself.  Inverses mod p come
+    from Python's pow."""
+    points = np.stack([x, np.roll(x, -1)], axis=1) % p
+    inverse = np.array([0] + [pow(d, -1, p) for d in range(1, p)], dtype=np.int64)
+    best = 0
+    for px, py in points.tolist():
+        dx, dy = (points[:, 0] - px) % p, (points[:, 1] - py) % p
+        same = (dx == 0) & (dy == 0)
+        slopes = np.where(dx == 0, p, dy * inverse[dx] % p)[~same]
+        best = max(best, int(same.sum()) + int(np.bincount(slopes, minlength=1).max()))
+    return best
+
+
 def gauss_direct(a: int, b: int, c: int) -> complex:
     """Literal evaluation of the c-term sum
     G(a, b, c) = sum_{l=0}^{c-1} exp(2 pi i (a l^2 + b l) / c).
@@ -268,13 +290,15 @@ def gauss_errors_per_chunk(q: int, chunk_elems: int = 2**12):
 
 
 def _theorem1_error(sides: int, q: int, ps: np.ndarray, thetas: np.ndarray) -> tuple[float, int]:
-    triples, scalars = corner_products_stack(sides, q, thetas)
+    triples, scalars = corner_products_sides((sides,), q, thetas)
+    reps = (1, sides)  # one period tiled over the M L indices
+    triples, scalars = np.tile(triples[0], reps), np.tile(scalars[0], reps)
     closed = z_qm_closed(sides, q, ps[:, None], np.arange(triples.shape[-1]))
     return float(np.max(np.hypot(triples - closed.real, scalars - closed.imag))), triples.size
 
 
 def _closure_error(sides: int, q: int, ps: np.ndarray, thetas: np.ndarray) -> tuple[float, int]:
-    return float(np.max(closure_residual_stack(sides, q, thetas))), len(ps)
+    return float(np.max(closure_residual_sides((sides,), q, thetas)[0])), len(ps)
 
 
 POLYGON_SWEEPS = {"theorem1": (_theorem1_error, 1e-8), "closure": (_closure_error, 1e-7)}
@@ -284,9 +308,9 @@ def polygon_sweep_per_side(
     name: str, sides_range: tuple[int, int], q_max: int, chunk_elems: int = 2**12
 ) -> SuiteResult:
     """The theorem1 or closure sweep with each number of sides M evaluated
-    on its own, in the sweep's batches of coprime p: per M, the tiled
-    corner products of corner_products_stack against z_qm_closed over all
-    M periods, or closure_residual_stack."""
+    on its own, in the sweep's batches of coprime p: per M, one period of
+    corner_products_sides((M,), ...) tiled M times against z_qm_closed at
+    every one of the M L indices, or closure_residual_sides((M,), ...)."""
     error, tolerance = POLYGON_SWEEPS[name]
     sides_lo, sides_hi = sides_range
     rows = []

@@ -730,3 +730,34 @@ def test_usage_errors_leave_no_file(tmp_path, capsys, argv):
     code, _, err = run(capsys, *argv.split(), "-o", str(target))
     assert code == EXIT_USAGE, err
     assert not target.exists()
+
+
+# A valid argv of each kind, with the stream flags it reads; every other
+# stream flag is stray for it.
+_KIND_READS = {
+    "vfe -q 7": {"-q"},
+    "eicg -q 7": {"-q", "-a", "-b"},
+    "eicg-pow2 --omega 9": {"-q", "-a", "-b", "--omega"},
+    "lcg -a 3 -b 1 -q 7 -n 4": {"-q", "-a", "-b", "--x0", "--preset"},
+    "lcg --preset randu -n 4": {"--preset"},
+    "compound --primes 5,7 -n 4": {"--primes"},
+}
+_STRAY_VALUES = {
+    "-q": "7", "-a": "5", "-b": "2", "--x0": "3", "--omega": "9", "--preset": "randu", "--primes": "5,7",
+}
+
+
+@pytest.mark.parametrize(
+    "kind,flag",
+    [(kind, flag) for kind, reads in _KIND_READS.items() for flag in _STRAY_VALUES if flag not in reads],
+)
+def test_stray_stream_flags_are_refused(tmp_path, capsys, kind, flag):
+    # a flag the kind does not read is refused by name, not dropped
+    target = tmp_path / "out"
+    assert run(capsys, "generate", "--kind", *kind.split(), "-o", str(target))[0] == EXIT_OK
+    target.unlink()
+    code, _, err = run(capsys, "generate", "--kind", *kind.split(), flag, _STRAY_VALUES[flag],
+                       "-o", str(target))
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and err.rstrip().endswith(f"does not read {flag}")
+    assert not target.exists()

@@ -14,13 +14,9 @@ from filament_prng.filament import (
     _side_rotations,
     build_polygon,
     circle_row,
-    closure_residual,
     closure_residual_sides,
-    closure_residual_stack,
     corner_angle,
-    corner_products,
     corner_products_sides,
-    corner_products_stack,
     polygon_windows,
     rotation_stack,
     z_qm_closed,
@@ -36,6 +32,14 @@ def config(sides, p, q):
 
 def rotation(angle, theta):
     return rotation_stack(angle, np.array([theta]))[0]
+
+
+def period_products(cfg):
+    """Triple and scalar products over one period (L,) of one polygon, the
+    stack of one side and one p; its M L products repeat this period."""
+    q = cfg.time.q
+    triples, scalars = corner_products_sides((cfg.sides,), q, theta_sequence(cfg.time.p, q))
+    return triples[0], scalars[0]
 
 
 def transported_frames(cfg):
@@ -147,7 +151,7 @@ def test_orthonormality_drift_stays_small():
     [(3, 0, 1, 1e-10), (3, 1, 2, 1e-8), (7, 2, 5, 1e-8)],
 )
 def test_closure_examples(sides, p, q, bound):
-    assert closure_residual(config(sides, p, q)) < bound
+    assert closure_residual_sides((sides,), q, theta_sequence(p, q))[0] < bound
 
 
 def test_build_polygon_square():
@@ -198,8 +202,8 @@ def test_polygon_windows_concatenate_to_the_polygon_bit_for_bit():
 
 def test_triple_product_planar_is_zero():
     cfg = config(4, 1, 1)
-    triples, _ = corner_products(cfg)
-    assert len(triples) == cfg.corner_count
+    triples, _ = period_products(cfg)
+    assert len(triples) * cfg.sides == cfg.corner_count
     for triple in triples.tolist():
         assert triple == pytest.approx(0.0, abs=1e-12)
 
@@ -208,8 +212,8 @@ def test_scalar_product_planar_is_cos_2rho():
     for sides in (3, 4, 7):
         cfg = config(sides, 1, 1)
         rho = corner_angle(sides, 1).rho
-        _, scalars = corner_products(cfg)
-        assert len(scalars) == cfg.corner_count
+        _, scalars = period_products(cfg)
+        assert len(scalars) * sides == cfg.corner_count
         for scalar in scalars.tolist():
             assert scalar == pytest.approx(math.cos(2 * rho), abs=1e-12)
 
@@ -218,8 +222,8 @@ def test_q2_degenerate_case():
     # the half-turn time: triple 0 and scalar cos(4 pi / M)
     for sides in (3, 4, 5, 8):
         cfg = config(sides, 1, 2)
-        triples, scalars = corner_products(cfg)
-        assert len(triples) == cfg.corner_count
+        triples, scalars = period_products(cfg)
+        assert len(triples) * sides == cfg.corner_count
         for triple, scalar in zip(triples.tolist(), scalars.tolist()):
             assert triple == pytest.approx(0.0, abs=1e-12)
             assert scalar == pytest.approx(math.cos(4 * math.pi / sides), abs=1e-12)
@@ -230,10 +234,10 @@ def test_q2_degenerate_case():
     [(3, 5, 1, 0), (4, 4, 1, 0), (5, 3, 1, 1)],
 )
 def test_products_match_closed_form_examples(sides, q, p, m):
-    triples, scalars = corner_products(config(sides, p, q))
+    triples, scalars = period_products(config(sides, p, q))
     closed = z_qm_closed(sides, q, p, m)
-    assert triples[m] == pytest.approx(closed.real, abs=1e-10)
-    assert scalars[m] == pytest.approx(closed.imag, abs=1e-10)
+    assert triples[m % len(triples)] == pytest.approx(closed.real, abs=1e-10)
+    assert scalars[m % len(scalars)] == pytest.approx(closed.imag, abs=1e-10)
 
 
 def test_products_match_closed_form_sweep():
@@ -241,10 +245,11 @@ def test_products_match_closed_form_sweep():
         for q in range(1, 16):
             for p in coprimes_by_gcd(q) or [1]:
                 cfg = config(sides, p, q)
-                triples, scalars = corner_products(cfg)
-                for m in range(cfg.corner_count):
+                triples, scalars = period_products(cfg)
+                for m in range(cfg.corner_count):  # index m reads column m mod L
                     closed = z_qm_closed(sides, q, p, m)
-                    assert complex(triples[m], scalars[m]) == pytest.approx(
+                    j = m % len(triples)
+                    assert complex(triples[j], scalars[j]) == pytest.approx(
                         closed, abs=1e-9
                     )
 
@@ -265,23 +270,28 @@ def test_rotation_invariance_of_products():
         rot_t, rot_s = transported_products(sides, q, thetas, initial=initial)
         assert np.allclose(base_t, rot_t, atol=1e-10)
         assert np.allclose(base_s, rot_s, atol=1e-10)
-        triples, scalars = corner_products(config(sides, p, q))
-        assert np.allclose(triples, rot_t, atol=1e-10)
-        assert np.allclose(scalars, rot_s, atol=1e-10)
+        triples, scalars = period_products(config(sides, p, q))
+        assert np.allclose(triples, rot_t.reshape(sides, -1), atol=1e-10)
+        assert np.allclose(scalars, rot_s.reshape(sides, -1), atol=1e-10)
 
 
 def test_corner_products_match_transported_oracle():
-    # every coprime (p, q <= 60) and M = 3..8: the two-rotation products
-    # against a frame transported through every corner (gap at most 2.7e-14)
+    # every coprime (p, q <= 60) and M = 3..8: one period of the
+    # two-rotation products against every period of a frame transported
+    # through every corner, reshaped to (P, M, L) (gap at most 2.7e-14)
+    sides_range = range(3, 9)
     for q in range(1, 61):
         ps = np.array(coprimes_by_gcd(q) or [1], dtype=np.int64)
         thetas = theta_sequence(ps, q)
-        for sides in range(3, 9):
-            triples, scalars = corner_products_stack(sides, q, thetas)
+        period = len(active_indices(q))
+        all_t, all_s = corner_products_sides(sides_range, q, thetas)
+        assert all_t.shape == (len(sides_range), len(ps), period)
+        for sides, triples, scalars in zip(sides_range, all_t, all_s):
             want_t, want_s = transported_products(sides, q, thetas)
-            assert triples.shape == want_t.shape == (len(ps), config(sides, 1, q).corner_count)
-            assert np.max(np.abs(triples - want_t)) < 1e-12
-            assert np.max(np.abs(scalars - want_s)) < 1e-12
+            assert want_t.shape == (len(ps), config(sides, 1, q).corner_count)
+            periods = (len(ps), sides, period)
+            assert np.max(np.abs(triples[:, None, :] - want_t.reshape(periods))) < 1e-12
+            assert np.max(np.abs(scalars[:, None, :] - want_s.reshape(periods))) < 1e-12
 
 
 @pytest.mark.parametrize("q", [4093, 4095, 4094, 4096, 65537, 65538])
@@ -291,15 +301,20 @@ def test_large_q_products_in_every_class(q):
     rng = np.random.default_rng(q)
     ps = np.sort(rng.choice(coprimes_by_gcd(q), 3, replace=False)).astype(np.int64)
     thetas = theta_sequence(ps, q)
-    for sides in (3, 5):
-        triples, scalars = corner_products_stack(sides, q, thetas)
-        closed = z_qm_closed(sides, q, ps[:, None], np.arange(triples.shape[-1]))
+    all_t, all_s = corner_products_sides((3, 5), q, thetas)
+    residuals = closure_residual_sides((3, 5), q, thetas)
+    for sides, t, s, residual in zip((3, 5), all_t, all_s, residuals):
+        # one period against every period of the closed form and the transport
+        periods = (len(ps), sides, t.shape[-1])
+        triples, scalars = t[:, None, :], s[:, None, :]
+        closed = z_qm_closed(sides, q, ps[:, None], np.arange(sides * t.shape[-1]))
+        closed = closed.reshape(periods)
         assert np.max(np.hypot(triples - closed.real, scalars - closed.imag)) < 1e-8
         want_t, want_s = transported_products(sides, q, thetas)
         # transport drift over up to 5 * 65537 corners measured at most 5.4e-12
-        assert np.max(np.abs(triples - want_t)) < 1e-10
-        assert np.max(np.abs(scalars - want_s)) < 1e-10
-        assert np.max(closure_residual_stack(sides, q, thetas)) < 1e-7
+        assert np.max(np.abs(triples - want_t.reshape(periods))) < 1e-10
+        assert np.max(np.abs(scalars - want_s.reshape(periods))) < 1e-10
+        assert np.max(residual) < 1e-7
 
 
 def test_z_qm_closed_trivial_time():
@@ -368,15 +383,15 @@ def test_stacked_rows_equal_single_polygon_rows():
         ps = np.array(coprimes_by_gcd(q) or [1], dtype=np.int64)
         thetas = theta_sequence(ps, q)
         for sides in range(3, 9):
-            triples, scalars = corner_products_stack(sides, q, thetas)
-            residuals = closure_residual_stack(sides, q, thetas)
+            (triples,), (scalars,) = corner_products_sides((sides,), q, thetas)
+            (residuals,) = closure_residual_sides((sides,), q, thetas)
             for i, p in enumerate(ps.tolist()):
                 single = theta_sequence(p, q)
                 assert np.array_equal(thetas[i], single)
-                one_t, one_s = corner_products_stack(sides, q, single)
+                (one_t,), (one_s,) = corner_products_sides((sides,), q, single)
                 assert np.array_equal(triples[i], one_t)
                 assert np.array_equal(scalars[i], one_s)
-                assert residuals[i] == closure_residual_stack(sides, q, single)
+                assert residuals[i] == closure_residual_sides((sides,), q, single)[0]
                 polygons += 1
     assert polygons == 2940
 
@@ -394,9 +409,9 @@ def test_side_stacks_equal_one_side_forms_byte_for_byte():
         residuals = closure_residual_sides(sides, q, thetas)
         for i, m in enumerate(sides):
             assert rotations[i].tobytes() == rotation_stack(corner_angle(m, q), thetas).tobytes()
-            one_t, one_s = corner_products_stack(m, q, thetas)
-            assert np.tile(triples[i], (1, m)).tobytes() == one_t.tobytes(), (q, m)
-            assert np.tile(scalars[i], (1, m)).tobytes() == one_s.tobytes(), (q, m)
-            assert residuals[i].tobytes() == closure_residual_stack(m, q, thetas).tobytes()
+            one_t, one_s = corner_products_sides((m,), q, thetas)
+            assert triples[i].tobytes() == one_t[0].tobytes(), (q, m)
+            assert scalars[i].tobytes() == one_s[0].tobytes(), (q, m)
+            assert residuals[i].tobytes() == closure_residual_sides((m,), q, thetas)[0].tobytes()
         negative_zeros += int(np.sum((rotations == 0) & np.signbit(rotations)))
     assert negative_zeros > 0

@@ -21,7 +21,7 @@ from filament_prng.prng import (
     randu_preset,
     vfe_unit_samples,
 )
-from helpers import coprime_reference, lcg_reference, mod_inverse
+from helpers import coprime_reference, lcg_reference, max_pairs_on_a_line, mod_inverse
 
 
 def assert_concatenates(whole: Stream, head: Stream, tail: Stream) -> None:
@@ -319,14 +319,38 @@ def test_vfe_window_at_the_budget_matches_eicg():
 
 
 def test_vfe_phases_match_eicg_for_prime_q():
-    q = 101
-    phases = vfe_unit_samples(q)
-    eicg = eicg_stream(StreamSpec.eicg(q, a=4, b=0), q)
-    assert len(phases) == q - 1
-    for n, u in zip(phases.n.tolist(), phases.u.tolist()):
-        assert u == eicg.u[n]
+    # phi(p) = (4 p)^-1 mod q: at prime q the circle phases are the EICG
+    # with a = 4, b = 0 from index 1, in indices, states and modulus
+    for q in (101, 1009, 4093):
+        phases = vfe_unit_samples(q)
+        eicg = eicg_stream(StreamSpec.eicg(q, a=4, b=0), q - 1, 1)
+        assert phases.n.tolist() == eicg.n.tolist() == list(range(1, q))
+        assert phases.x.tolist() == eicg.x.tolist()
+        assert phases.modulus == eicg.modulus == q
+        window = vfe_unit_samples(q, 37, 50)
+        eicg = eicg_stream(StreamSpec.eicg(q, a=4, b=0), 50, 38)
+        assert (window.n.tolist(), window.x.tolist()) == (eicg.n.tolist(), eicg.x.tolist())
+        assert window.modulus == q
     # the full eicg period is the phase sequence with the 0 sample prepended
-    assert eicg.u.tolist() == [0.0] + phases.u.tolist()
+    period = eicg_stream(StreamSpec.eicg(101, a=4, b=0), 101)
+    assert period.u.tolist() == [0.0] + vfe_unit_samples(101).u.tolist()
+
+
+@pytest.mark.parametrize("p", [101, 211, 1009])
+def test_inversive_pairs_avoid_lines(p):
+    # With t = a n + b, the pairs (t^-1, (t + a)^-1) off the two indices
+    # where t or t + a is 0 satisfy u - v = a u v, an irreducible conic that
+    # meets a line in at most 2 points; the two exceptional pairs add at
+    # most 2.  A linear stream mod p puts p - 1 pairs on the line y = 3x + 1.
+    for a, b in [(4, 0), (1, 0), (17, 5), (3, 11)]:
+        assert max_pairs_on_a_line(eicg_stream(StreamSpec.eicg(p, a, b), p).x, p) <= 4, (a, b)
+    assert max_pairs_on_a_line(lcg_stream(StreamSpec.lcg(3, 1, p), p).x, p) == p - 1
+
+
+def test_a_linear_map_in_place_of_the_inversion_fails_the_line_bound(monkeypatch):
+    monkeypatch.setattr(prng, "inverse_row", lambda v, q: v)  # x_n = a n + b
+    x = eicg_stream(StreamSpec.eicg(101, 17, 5), 101).x
+    assert max_pairs_on_a_line(x, 101) == 101
 
 
 def test_compound_example_five_seven():

@@ -75,18 +75,36 @@ def test_polygon_sweeps_match_the_per_side_evaluation(sides_range):
     assert verify_closure(sides_range, 60) == polygon_sweep_per_side("closure", sides_range, 60)
 
 
-def test_shared_closed_circles_equal_z_qm_closed_byte_for_byte():
-    # one phase row, sine and cosine over the largest M's indices serve
-    # every M: each circle is z_qm_closed's over that M's own index range
+def test_one_period_circles_equal_every_period_of_z_qm_closed(monkeypatch):
+    # the sweep builds the closed form over one period of L indices, its
+    # phase row, sine and cosine shared by every M: for every q <= 60 and
+    # M = 3..10 each (P, L) circle equals, bit for bit, every one of the M
+    # periods of z_qm_closed over the M L indices, reshaped to (P, M, L)
     sides = range(3, 11)
-    for q in range(1, 61):
-        ps = np.array(coprimes_by_gcd(q) or [1], dtype=np.int64)
+    batches, circles = [], []
+    phase_row, points = verify.closed_phase_row, verify.circle_points
+
+    def recording_phase_row(p, q, m):
+        batches.append((p[:, 0], q))
+        return phase_row(p, q, m)
+
+    def recording_points(angle, sin_alpha, cos_alpha):
+        circles.append(points(angle, sin_alpha, cos_alpha))
+        return circles[-1]
+
+    monkeypatch.setattr(verify, "closed_phase_row", recording_phase_row)
+    monkeypatch.setattr(verify, "circle_points", recording_points)
+    verify_theorem1((sides[0], sides[-1]), 60)
+    assert {q for _, q in batches} == set(range(1, 61))
+    assert len(circles) == len(sides) * len(batches)
+    for b, (ps, q) in enumerate(batches):
         period = len(gauss.active_indices(q))
-        circles = list(verify._closed_circles(sides, q, ps, period))
-        assert len(circles) == len(sides)
-        for m, circle in zip(sides, circles):
+        for m, circle in zip(sides, circles[b * len(sides) : (b + 1) * len(sides)]):
+            assert circle.shape == (len(ps), period)
             closed = filament.z_qm_closed(m, q, ps[:, None], np.arange(m * period))
-            assert circle.tobytes() == closed.tobytes(), (q, m)
+            periods = closed.reshape(len(ps), m, period)
+            for k in range(m):
+                assert periods[:, k].tobytes() == circle.tobytes(), (q, m, k)
 
 
 _side_rotations = filament._side_rotations
