@@ -24,14 +24,23 @@ MAX_EXACT_POINTS = 4096
 MAX_EXACT_DIM = 3
 # Work budget of the exact scan: the number of anchored boxes on its grid,
 # the product over axes of (distinct coordinates + 1).  It admits k = 2 at
-# N = 4096 and k = 3 up to N = 1023.  On a 2-core machine one scan takes
-# about 0.07 s at k = 2, N = 4093, 0.03 s at k = 3, N = 401 and 0.3 s at
-# k = 3, N = 1009 (0.09, 0.13 and 2.1 s when every box in the changed
-# regions was evaluated); the block bounds leave the k = 3 cost to the
-# count increments, which still grow like N^3.
+# N = 4096 and k = 3 up to N = 1023.  On a 2-core machine one scan of an
+# EICG cloud takes about 0.016 s at k = 2, N = 4093, 0.012 s at k = 3,
+# N = 401 and 0.11 s at k = 3, N = 1009 (0.05, 0.02 and 0.17 s with a bound
+# pass at every x from a running maximum of 0; 0.09, 0.13 and 2.1 s when
+# every box in the changed regions was evaluated).  The k = 2 lattice cloud
+# at p = 4093, where the block bounds prune almost nothing, takes 0.16 s.
+# The k = 3 cost is left to the count increments, which still grow like N^3.
 MAX_EXACT_BOXES = 2**30
 # Triples per window of the RANDU plane scan.
 _RANDU_WINDOW = 2**16
+# The star scan's seed: its stride over the distinct first coordinates, and
+# the entries of one slice of its cumulative histograms.
+_SEED_STRIDE = 8
+_SEED_SLICE = 2**14
+# Rounding margin of the star scan's skip tests, far above the few ulps by
+# which fl(x*v), fl(c/n), their difference and fl(x' - x) can stray.
+_SKIP_MARGIN = 2.0**-40
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +137,8 @@ def _star_scan(axes: list[tuple[np.ndarray, np.ndarray]], n: int) -> float:
     coordinate and at or below x, behind a leading zero row per axis (the
     boxes with an empty side).  At a corner, the open box at x holds the
     count one row lower on every axis before x's points are added; the
-    closed box holds the corner's own count after them.
+    closed box holds the corner's own count after them.  int16 holds every
+    count, as N <= MAX_EXACT_POINTS = 4096.
 
     A box's count changes only at an x with a point in it, inside the
     region above the componentwise lowest corner of x's points.  So only
@@ -142,55 +152,79 @@ def _star_scan(axes: list[tuple[np.ndarray, np.ndarray]], n: int) -> float:
     closed term at the first x with that count (read there, or at most 0
     for a count of 0).
 
-    The corner grid is cut into blocks of `_block_edge` corners a side
-    (fewer at the far end of an axis), and the region into the blocks that
-    meet it.  vol and both counts never decrease along an axis, and
-    fl(x*v), fl(c/n) and fl(a - b) are monotone in each argument, so no box
-    of a block has an open term above x*vol at the block's far corner
-    minus the open count at its near corner over n, nor a closed term
-    above the closed count at its far corner over n minus x*vol at its
-    near corner.  Only the blocks whose bound exceeds the running maximum
-    are evaluated, whole: their cells outside the region are boxes of a
-    scan of every box at every x too.  The result is the same double as
-    that scan.  On the EICG clouds of the pinned `stats serial` cases at
-    k = 2, N = 4093 and k = 3, N = 401, the bounds let through 0.2 % and
-    0.6 % of the open and closed terms of every region.
+    The corner grid is cut into blocks of `_block_edge` corners a side,
+    the far end of each axis padded with copies of its last corner, and
+    the region into the blocks that meet it.  vol and both counts never
+    decrease along an axis, and fl(x*v), fl(c/n) and fl(a - b) are
+    monotone in each argument, so no box of a block has an open term above
+    x*vol at the block's far corner minus the open count at its near
+    corner over n, nor a closed term above the closed count at its far
+    corner over n minus x*vol at its near corner.  A bound pass
+    (`_bound_pass`) takes these bounds for every block at one x, and
+    evaluates, whole, the region's blocks whose bound exceeds the running
+    maximum: their cells outside the region are boxes of a scan of every
+    box at every x too.
+
+    Most bound passes are skipped.  Let G be the largest bound over all
+    blocks at the last pass of a kind that was taken, at x.  At a later
+    x', a block's open bound is at most G + (x' - x): its far vol is at
+    most 1, so fl(x'*v) exceeds fl(x*v) by at most (x' - x) and a few
+    ulps, and its near count has not fallen.  A closed bound is at most
+    G + K/n after K more points: x*vol at the near corner has not fallen,
+    and the far count has grown by at most K.  So a pass whose G plus that
+    growth, plus `_SKIP_MARGIN` for the rounding of fl(x*v), fl(c/n), the
+    differences and fl(x' - x), does not exceed the running maximum would
+    let no block through, and it is not taken; its points are still added.
+
+    The running maximum starts from `_seed`: the largest exact open and
+    closed terms at the blocks' near corners at every `_SEED_STRIDE`-th
+    distinct x, counted before and after that x's points as above.  Each
+    is the term of a box that the scan of every box at every x evaluates
+    with the same float expressions, so the seed never exceeds the result,
+    and every term skipped, by a region, a block or a pass, is at most the
+    running maximum.  The result is the same double as that scan.  On the
+    EICG clouds of the pinned `stats serial` cases at k = 2, N = 4093 and
+    k = 3, N = 401 the scan takes 745 of 8,188 and 186 of 804 bound passes.
     """
     (xs, ix), *others = axes
-    vol = reduce(np.multiply.outer, [np.append(u, 1.0) for u, _ in others], np.ones(()))
-    edge = _block_edge(vol.shape)
-    corners = np.stack([inverse for _, inverse in axes], axis=1)[np.argsort(ix), 1:]
+    sizes = tuple(len(u) + 1 for u, _ in others)
+    edge = _block_edge(sizes)
+    padded = [-(-size // edge) * edge for size in sizes]
+    vol = reduce(
+        np.multiply.outer,
+        [np.append(u, np.ones(length - len(u))) for (u, _), length in zip(others, padded)],
+        np.ones(()),
+    )
+    order = np.argsort(ix)
+    corners = np.stack([inverse for _, inverse in axes], axis=1)[order, 1:]
     ends = np.cumsum(np.bincount(ix)).tolist()  # the points of each x are corners[lo:hi]
     lows = (np.minimum.reduceat(corners, [0, *ends[:-1]], axis=0) // edge).tolist()
     steps = [tuple(slice(c + 1, None) for c in corner) for corner in corners.tolist()]
-    # per axis, each block's near and far corner, and its cells (the far
-    # one repeated to fill a short block)
-    nears = [np.arange(0, size, edge) for size in vol.shape]
-    fars = [np.minimum(near + edge, size) - 1 for near, size in zip(nears, vol.shape)]
-    cells = [
-        np.minimum(near[:, None] + np.arange(edge), far[:, None]) for near, far in zip(nears, fars)
-    ]
-    near_vol, far_vol = vol[np.ix_(*nears)], vol[np.ix_(*fars)]
-    # padded to whole blocks, so that the blocks' near open counts and far
-    # closed counts are two strided views; the padding repeats the count at 1.0
-    closed = np.zeros(tuple(len(near) * edge + 1 for near in nears), dtype=np.int32)
-    # (the trailing ... keeps the 0-d grid of k = 1 a view)
-    near_counts = closed[(slice(0, -1, edge),) * vol.ndim + (...,)]
-    far_counts = closed[(slice(edge, None, edge),) * vol.ndim + (...,)]
-    best = 0.0
+    # the padding repeats the count at 1.0, as vol's repeats 1.0; the
+    # trailing ... keeps the 0-d grids of k = 1 views
+    closed = np.zeros(tuple(length + 1 for length in padded), dtype=np.int16)
+    near, far = ((slice(start, None, edge),) * vol.ndim + (...,) for start in (0, edge - 1))
+    lower, upper = ((slice(start, stop),) * vol.ndim + (...,) for start, stop in ((0, -1), (1, None)))
+    near_vol, far_vol = vol[near].copy(), vol[far].copy()  # compact: every bound pass reads them
+    cells = _by_block(vol, edge)
+    # per kind of box, the vol and counts of its block bounds, then of its
+    # cells: at a corner, closed[lower] is the open box's count (one row
+    # lower on every axis) and closed[upper] the closed box's
+    opened = (far_vol, closed[lower][near], cells, _by_block(closed[lower], edge), True)
+    shut = (near_vol, closed[upper][far], cells, _by_block(closed[upper], edge), False)
+    best = _seed(xs, ix[order], corners, near_vol, edge, n)
+    top_open = top_closed = math.inf
+    x_open, added = 0.0, 0
     for x, low, lo, hi in zip([*xs.tolist(), 1.0], [*lows, [0] * vol.ndim], [0, *ends], [*ends, n]):
-        rest = tuple(slice(b, None) for b in low)
-        bound = x * far_vol[rest] - near_counts[rest] / n
-        if bound.max() > best:
-            index = _block_cells(cells, np.argwhere(bound > best) + low)
-            best = max(best, _terms_max(x, vol[index], closed[index], n, opened=True))
+        if top_open + (x - x_open) + _SKIP_MARGIN > best:
+            top_open, best = _bound_pass(x, low, best, n, *opened)
+            x_open = x
         for step in steps[lo:hi]:
             closed[step] += 1
-        bound = far_counts[rest] / n - x * near_vol[rest]
-        if bound.max() > best:
-            index = _block_cells(cells, np.argwhere(bound > best) + low)
-            own = tuple(i + 1 for i in index)
-            best = max(best, _terms_max(x, vol[index], closed[own], n, opened=False))
+        added += hi - lo
+        if top_closed + added / n + _SKIP_MARGIN > best:
+            top_closed, best = _bound_pass(x, low, best, n, *shut)
+            added = 0
     return best
 
 
@@ -201,21 +235,99 @@ def _block_edge(shape: tuple[int, ...]) -> int:
     return max(1, round(max(shape, default=1) ** (1 / 3)))
 
 
-def _block_cells(cells: list[np.ndarray], blocks: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Index arrays, broadcast to (blocks, edge, ..., edge), of every cell
-    of the given blocks (one row of block indices each)."""
-    index = []
-    for axis, axis_cells in enumerate(cells):
-        shape = (len(blocks),) + (1,) * axis + (-1,) + (1,) * (len(cells) - axis - 1)
-        index.append(axis_cells[blocks[:, axis]].reshape(shape))
-    return tuple(index)
+def _by_block(grid: np.ndarray, edge: int) -> np.ndarray:
+    """A view of a grid of whole blocks with the block indices first: cell
+    (b_1 edge + c_1, ..., b_d edge + c_d) at [b_1, ..., b_d, c_1, ..., c_d]."""
+    split = grid.reshape([part for size in grid.shape for part in (size // edge, edge)])
+    return split.transpose([*range(0, 2 * grid.ndim, 2), *range(1, 2 * grid.ndim, 2)])
+
+
+def _seed(
+    xs: np.ndarray, ix: np.ndarray, corners: np.ndarray, near_vol: np.ndarray, edge: int, n: int
+) -> float:
+    """The largest open or closed term, or 0.0, at the blocks' near corners
+    at xs[0], xs[S], xs[2S], ... (S = _SEED_STRIDE), for the scan's seed.
+
+    `ix` holds each point's x index in ascending order and `corners` its
+    other corner indices in the same order.  A point counts in the open box
+    at sample s and near corner b*edge when its x index is below s*S and
+    each other corner index below b*edge, i.e. from sample ix // S + 1 and
+    block c // edge + 1 on; in the closed box when they are at most those,
+    from sample ceil(ix / S) and block ceil(c / edge) on.  So each count is
+    a cumulative sum, over samples and blocks, of the histogram of those
+    first bins.  It is summed a slice of at most _SEED_SLICE entries (or
+    one sample) at a time, carrying the sum of the samples before, and each
+    term is taken with the scan's own float expressions.
+    """
+    samples = xs[::_SEED_STRIDE]
+    shape = tuple(size + 1 for size in near_vol.shape)  # a bin past the last block counts nowhere
+    width = math.prod(shape)
+    strides = np.array([math.prod(shape[axis + 1 :]) for axis in range(len(shape))], dtype=np.intp)
+    rows = max(1, _SEED_SLICE // width)
+    cut = (slice(None),) + (slice(0, -1),) * near_vol.ndim
+    best = 0.0
+    for opened in (True, False):
+        if opened:  # x' < x and c < near: the first sample and block past the point's
+            row, flat = ix // _SEED_STRIDE + 1, (corners // edge + 1) @ strides
+        else:  # x' <= x and c <= near: the first sample and block at or past it
+            row, flat = -(-ix // _SEED_STRIDE), -(-corners // edge) @ strides
+        total = np.zeros(shape, dtype=np.int64)
+        for first in range(0, len(samples), rows):
+            last = min(first + rows, len(samples))
+            lo, hi = np.searchsorted(row, [first, last])
+            counts = np.bincount(
+                (row[lo:hi] - first) * width + flat[lo:hi], minlength=(last - first) * width
+            ).reshape((last - first, *shape))
+            for axis in range(1, counts.ndim):
+                np.cumsum(counts, axis=axis, out=counts)
+            counts[0] += total
+            for sample in range(1, len(counts)):
+                counts[sample] += counts[sample - 1]
+            total = counts[-1]
+            x = samples[first:last].reshape((-1,) + (1,) * near_vol.ndim)
+            best = max(best, float(_terms(x, near_vol, counts[cut], n, opened).max()))
+    return best
+
+
+def _bound_pass(
+    x: float,
+    low: list[int],
+    best: float,
+    n: int,
+    bound_vol: np.ndarray,
+    bound_counts: np.ndarray,
+    vol_cells: np.ndarray,
+    count_cells: np.ndarray,
+    opened: bool,
+) -> tuple[float, float]:
+    """One bound pass at x: every block's bound (x*vol at its far corner
+    minus its open count at its near corner over n, or its closed count at
+    its far corner over n minus x*vol at its near corner), then the cells of
+    the blocks of x's region, above `low`, whose bound exceeds `best`,
+    evaluated.  Returns the largest bound over all blocks and the new
+    running maximum."""
+    bound = _terms(x, bound_vol, bound_counts, n, opened)
+    top = float(bound.max())
+    if top > best:
+        region = tuple(slice(b, None) for b in low) + (...,)
+        chosen = bound[region] > best
+        if chosen.any():
+            best = max(
+                best,
+                _terms_max(x, vol_cells[region][chosen], count_cells[region][chosen], n, opened),
+            )
+    return top, best
+
+
+def _terms(x: float | np.ndarray, vol: np.ndarray, counts: np.ndarray, n: int, opened: bool) -> np.ndarray:
+    """The open terms x*vol - count/n, or the closed terms count/n - x*vol."""
+    frac = counts / n
+    return x * vol - frac if opened else frac - x * vol
 
 
 def _terms_max(x: float, vol: np.ndarray, counts: np.ndarray, n: int, opened: bool) -> float:
-    """The largest open term x*vol - count/n, or closed term count/n -
-    x*vol, over the cells given."""
-    frac = counts / n
-    return float((x * vol - frac if opened else frac - x * vol).max())
+    """The largest open or closed term over the cells given."""
+    return float(_terms(x, vol, counts, n, opened).max())
 
 
 def theorem2_upper(p: int, k: int) -> float:

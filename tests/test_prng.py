@@ -131,6 +131,33 @@ def test_lcg_matches_closed_form_reference(q):
                 assert stream.x.tolist() == lcg_reference(a, b, q, x0, start, count), (a, start, count)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        randu_preset(),
+        StreamSpec.lcg(a=69069, b=12345, q=2**16, x0=7),
+        StreamSpec.lcg(a=48271, b=11, q=2**31 - 1, x0=3),
+    ],
+    ids=["randu-2^31", "2^16", "odd-q"],
+)
+def test_lcg_states_are_the_integer_recurrence(spec):
+    # A power-of-two q reduces each doubling block by the mask q - 1, any
+    # other q by %: both give the states of the recurrence stepped in Python
+    # integers, on counts that end just before, on and after a block seam.
+    far, longest = 10**6, 2**12 + 1
+    head, tail, x = [], [], spec.x0 % spec.q
+    for n in range(far + longest):
+        if n <= longest:
+            head.append(x)
+        if n >= far:
+            tail.append(x)
+        x = (spec.a * x + spec.b) % spec.q
+    for count in [1, 2, 3, 4, 5, 7, 8, 9, 2**11 - 1, 2**11, 2**11 + 1, 2**12, longest]:
+        assert lcg_stream(spec, count).x.tolist() == head[:count]
+        assert lcg_stream(spec, count, 1).x.tolist() == head[1 : count + 1]
+        assert lcg_stream(spec, count, far).x.tolist() == tail[:count]
+
+
 def test_lcg_windows_concatenate_far_out():
     s = 10**12
     for spec in [randu_preset(), StreamSpec.lcg(a=69069, b=1, q=2**31 - 1, x0=7)]:

@@ -250,6 +250,43 @@ def test_star_scan_evaluates_a_small_share_of_the_changed_regions(monkeypatch):
     assert 0 < sum(received) < 0.02 * 2 * regions
 
 
+def _lattice_cloud(p: int) -> TupleCloud:
+    # {(x/p, (a x mod p)/p) : 0 < x < p} with a = round(p/phi): the pairs of
+    # `lcg -q p -a a -b 0` over a full period when a is a primitive root
+    a = round(2 * p / (1 + math.sqrt(5)))
+    x = np.arange(1, p)
+    return cloud_from(np.column_stack([x / p, a * x % p / p]))
+
+
+@pytest.mark.parametrize("p", [101, 211, 1009])
+def test_star_scan_is_the_full_grid_scan_on_lattice_clouds(p):
+    # N D* stays below a block's slack on these clouds, so the block bounds
+    # prune almost nothing and the skip test decides at every x.
+    cloud = _lattice_cloud(p)
+    assert star_discrepancy(cloud) == star_scan_full_grid(cloud.points, cloud.n)
+
+
+@pytest.mark.parametrize(
+    "a,b,lags", [(1234, 77, (0, 1717)), (4, 0, (0, 1))], ids=["a1234-lag1717", "a4-lag1"]
+)
+def test_star_scan_skips_most_bound_passes(a, b, lags, monkeypatch):
+    # Without the skip test the scan makes two bound passes per distinct x
+    # and two at x = 1.0; the seeded running maximum lets it skip over three
+    # quarters of them on the EICG clouds at q = 4093, k = 2.
+    q = 4093
+    cloud = make_tuples(eicg_stream(StreamSpec.eicg(q, a=a, b=b), q).u, 2, lags)
+    passes = []
+    bound_pass = stattest._bound_pass
+
+    def counted(x, *args):
+        passes.append(x)
+        return bound_pass(x, *args)
+
+    monkeypatch.setattr(stattest, "_bound_pass", counted)
+    assert star_discrepancy(cloud) == star_scan_full_grid(cloud.points, cloud.n)
+    assert 0 < len(passes) <= 2 * (cloud.n + 1) / 4
+
+
 def test_serial_test_eicg_within_bound():
     q = 101
     samples = eicg_stream(StreamSpec.eicg(q, a=4, b=0), q)
