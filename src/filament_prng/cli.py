@@ -24,6 +24,7 @@ from __future__ import annotations
 import os
 import sys
 from contextlib import contextmanager, suppress
+from dataclasses import asdict
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -44,7 +45,7 @@ from .prng import (
     vfe_window_count,
 )
 from .serialize import _BLOCK_ROWS, f64le_bytes, report_json, table_csv, table_json
-from .stattest import chi2_quantile_999, chi_square_uniformity, randu_plane_count, serial_test
+from .stattest import check_exact, chi2_quantile_999, chi_square_uniformity, randu_plane_count, serial_test
 from .verify import verify_closure, verify_compound, verify_gauss, verify_theorem1
 
 EXIT_OK = 0
@@ -221,7 +222,7 @@ _STREAM_FLAGS = ("-q", "-a", "-b", "--x0", "--omega", "--preset", "--primes")
 _READS = {
     "vfe": {"-q"},
     "eicg": {"-q", "-a", "-b"},
-    "eicg-pow2": {"-q", "-a", "-b", "--omega"},
+    "eicg-pow2": {"-a", "-b", "--omega"},
     "lcg": {"-q", "-a", "-b", "--x0"},
     "lcg --preset randu": {"--preset"},
     "compound": {"--primes"},
@@ -242,24 +243,25 @@ def _unit_stream(args) -> tuple[int, Callable[[int, int], Stream]]:
     first, and window(start, count), its count samples from the start-th.
     A stream flag the kind does not read is refused first."""
     _check_stream_flags(args)
+    if args.kind == "vfe":
+        q = _require(args.q, "-q")
+        return vfe_window_count(q, args.start, args.count), lambda start, count: vfe_unit_samples(q, start, count)
+    if args.kind == "compound":
+        if not args.primes:
+            raise BadParameters("compound streams need --primes")
+        total = _require(args.count, "-n")
+        StreamSpec.compound(args.primes)  # bad primes first, as compound_stream refuses them
+        check_budget(total)
+        return total, lambda start, count: compound_stream(args.sides, args.primes, count, start)
+    # the index streams: the total is -n, else the kind's period
     coefficients = _given(a=args.a, b=args.b)
     if args.kind == "eicg":
         spec = StreamSpec.eicg(_require(args.q, "-q"), **coefficients)
-        total = args.count if args.count is not None else spec.q
-        check_indices(args.start, total)
-        return total, lambda start, count: eicg_stream(spec, count, start)
-    if args.kind == "eicg-pow2":
-        omega = args.omega
-        if args.q is not None:
-            q_omega = args.q.bit_length() - 1
-            if args.q != 1 << max(q_omega, 0) or omega not in (None, q_omega):
-                raise BadParameters(f"eicg-pow2 needs -q = 2**omega, got -q {args.q}")
-            omega = q_omega
-        spec = StreamSpec.eicg_pow2(_require(omega, "--omega"), **coefficients)
-        total = args.count if args.count is not None else spec.q // 2
-        check_indices(args.start, total)
-        return total, lambda start, count: eicg_pow2_stream(spec, count, start)
-    if args.kind == "lcg":
+        period, window = spec.q, lambda start, count: eicg_stream(spec, count, start)
+    elif args.kind == "eicg-pow2":
+        spec = StreamSpec.eicg_pow2(_require(args.omega, "--omega"), **coefficients)
+        period, window = spec.q // 2, lambda start, count: eicg_pow2_stream(spec, count, start)
+    else:
         if args.preset == "randu":
             spec = randu_preset()
         else:
@@ -269,18 +271,10 @@ def _unit_stream(args) -> tuple[int, Callable[[int, int], Stream]]:
                 _require(args.q, "-q"),
                 **_given(x0=args.x0),
             )
-        total = _require(args.count, "-n")
-        check_indices(args.start, total)
-        return total, lambda start, count: lcg_stream(spec, count, start)
-    if args.kind == "compound":
-        if not args.primes:
-            raise BadParameters("compound streams need --primes")
-        total = _require(args.count, "-n")
-        StreamSpec.compound(args.primes)  # bad primes first, as compound_stream refuses them
-        check_budget(total)
-        return total, lambda start, count: compound_stream(args.sides, args.primes, count, start)
-    q = _require(args.q, "-q")
-    return vfe_window_count(q, args.start, args.count), lambda start, count: vfe_unit_samples(q, start, count)
+        period, window = None, lambda start, count: lcg_stream(spec, count, start)
+    total = _require(period if args.count is None else args.count, "-n")
+    check_indices(args.start, total)
+    return total, window
 
 
 def cmd_generate(args) -> int:
@@ -323,15 +317,11 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(s.passed for s in suites) else EXIT_VERIFY
 
 
-def _whole_stream(args) -> Stream:
-    total, window = _unit_stream(args)
-    return window(args.start, total)
-
-
 def cmd_serial(args) -> int:
-    stream = _whole_stream(args)
-    report = serial_test(stream.u, args.k, args.lags)
-    _write([report_json(report.as_dict())], args.output_path)
+    total, window = _unit_stream(args)
+    check_exact(args.k, total)  # the scan's limits, before the stream is built
+    report = serial_test(window(args.start, total).u, args.k, args.lags)
+    _write([report_json(asdict(report))], args.output_path)
     return EXIT_OK
 
 
@@ -343,7 +333,8 @@ def cmd_randu_planes(args) -> int:
 
 def cmd_chi2(args) -> int:
     quantile = chi2_quantile_999(args.bins - 1)  # refuses a bin count before any work
-    stream = _whole_stream(args)
+    total, window = _unit_stream(args)
+    stream = window(args.start, total)
     statistic, bins = chi_square_uniformity(stream.u, args.bins)
     payload = {
         "statistic": statistic,

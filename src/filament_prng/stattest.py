@@ -10,27 +10,31 @@ D* <= D <= 2^k D* is reported alongside it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
-from .errors import BadDimension, BadLags, BadParameters, BadT, EmptyInput, InvariantViolation, TooLarge
+from .errors import BadDimension, BadLags, BadParameters, BadT, EmptyInput, InvariantViolation, RangeError, TooLarge
 from .modular import is_probable_prime
 from .prng import check_budget, lcg_stream, randu_preset
 
-MAX_EXACT_POINTS = 4096
+# The dtype of the exact scan's counts; no count exceeds N, so N is
+# limited to its largest value, 32,767.
+_COUNT = np.int16
+MAX_EXACT_POINTS = int(np.iinfo(_COUNT).max)
 MAX_EXACT_DIM = 3
 # Work budget of the exact scan: the number of anchored boxes on its grid,
-# the product over axes of (distinct coordinates + 1).  It admits k = 2 at
-# N = 4096 and k = 3 up to N = 1023.  On a 2-core machine one scan of an
-# EICG cloud takes about 0.016 s at k = 2, N = 4093, 0.012 s at k = 3,
-# N = 401 and 0.11 s at k = 3, N = 1009 (0.05, 0.02 and 0.17 s with a bound
-# pass at every x from a running maximum of 0; 0.09, 0.13 and 2.1 s when
-# every box in the changed regions was evaluated).  The k = 2 lattice cloud
-# at p = 4093, where the block bounds prune almost nothing, takes 0.16 s.
-# The k = 3 cost is left to the count increments, which still grow like N^3.
+# the product over axes of (distinct coordinates + 1).  It admits k = 2 up
+# to N = MAX_EXACT_POINTS, as (2^15)^2 = 2^30, and k = 3 up to N = 1023.
+# On a 2-core machine one scan of an EICG cloud takes about 0.016 s at
+# k = 2, N = 4093, 0.24-0.41 s at k = 2, N = 32,749, 0.012 s at k = 3,
+# N = 401 and 0.11 s at k = 3, N = 1009.  The k = 2 lattice cloud at
+# p = 32,749, where the block bounds prune almost nothing, takes 4.3-4.9 s
+# at a peak RSS of 47 MB.  The k = 3 cost is left to the count increments,
+# which still grow like N^3.
 MAX_EXACT_BOXES = 2**30
 # Triples per window of the RANDU plane scan.
 _RANDU_WINDOW = 2**16
@@ -55,28 +59,17 @@ class TupleCloud:
 
 @dataclass(frozen=True)
 class DiscrepancyReport:
-    """Measured star discrepancy with its extreme-discrepancy enclosure."""
+    """Measured star discrepancy with its extreme-discrepancy enclosure,
+    its fields in the order of the `stats serial` JSON report."""
 
+    n: int
+    k: int
+    lags: tuple[int, ...]
     star: float
     extreme_lower: float
     extreme_upper: float
-    k: int
-    n: int
-    lags: tuple[int, ...]
     theorem2_upper: float | None = None
     theorem_lower_scale: float | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "lags": list(self.lags),
-            "star": self.star,
-            "extreme_lower": self.extreme_lower,
-            "extreme_upper": self.extreme_upper,
-            "theorem2_upper": self.theorem2_upper,
-            "theorem_lower_scale": self.theorem_lower_scale,
-        }
 
 
 def make_tuples(samples: Sequence[float], k: int, lags: Sequence[int]) -> TupleCloud:
@@ -85,7 +78,10 @@ def make_tuples(samples: Sequence[float], k: int, lags: Sequence[int]) -> TupleC
     n = len(u)
     if n == 0:
         raise EmptyInput("no samples")
-    lags = tuple(int(x) for x in lags)
+    try:
+        lags = tuple(operator.index(x) for x in lags)
+    except TypeError:
+        raise BadLags(f"lags must be integers, got {tuple(lags)}") from None
     if (
         len(lags) != k
         or not lags
@@ -104,10 +100,13 @@ def star_discrepancy(cloud: TupleCloud) -> float:
     The supremum over anchored boxes is attained on the grid of point
     coordinates extended by 1.0 in each axis, provided both the open count
     (coordinates strictly below the corner) and the closed count (below or
-    equal) are examined; this scans both.  Exact for k <= 3 and N <= 4096,
-    and refused before any work when the box count exceeds MAX_EXACT_BOXES.
+    equal) are examined; this scans both.  Exact for k <= 3 and N <= 32,767,
+    and refused before any work when the box count exceeds MAX_EXACT_BOXES
+    or a coordinate lies outside [0, 1).
     """
-    _check_exact(cloud.k, cloud.n)
+    check_exact(cloud.k, cloud.n)
+    if not ((cloud.points >= 0.0) & (cloud.points < 1.0)).all():
+        raise RangeError("tuple coordinates must lie in [0, 1)")
     axes = [np.unique(column, return_inverse=True) for column in cloud.points.T]
     boxes = math.prod(len(values) + 1 for values, _ in axes)
     if boxes > MAX_EXACT_BOXES:
@@ -118,7 +117,9 @@ def star_discrepancy(cloud: TupleCloud) -> float:
     return _star_scan(axes, cloud.n)
 
 
-def _check_exact(k: int, n: int) -> None:
+def check_exact(k: int, n: int) -> None:
+    """Refuse a serial test of dimension k over n samples beyond the exact
+    scan; the box budget needs the cloud and is checked with it."""
     if k > MAX_EXACT_DIM or n > MAX_EXACT_POINTS:
         raise TooLarge(
             f"exact algorithm limited to k <= {MAX_EXACT_DIM}, "
@@ -137,8 +138,8 @@ def _star_scan(axes: list[tuple[np.ndarray, np.ndarray]], n: int) -> float:
     coordinate and at or below x, behind a leading zero row per axis (the
     boxes with an empty side).  At a corner, the open box at x holds the
     count one row lower on every axis before x's points are added; the
-    closed box holds the corner's own count after them.  int16 holds every
-    count, as N <= MAX_EXACT_POINTS = 4096.
+    closed box holds the corner's own count after them.  The counts are
+    `_COUNT`, which holds every count up to N = MAX_EXACT_POINTS.
 
     A box's count changes only at an x with a point in it, inside the
     region above the componentwise lowest corner of x's points.  So only
@@ -202,7 +203,7 @@ def _star_scan(axes: list[tuple[np.ndarray, np.ndarray]], n: int) -> float:
     steps = [tuple(slice(c + 1, None) for c in corner) for corner in corners.tolist()]
     # the padding repeats the count at 1.0, as vol's repeats 1.0; the
     # trailing ... keeps the 0-d grids of k = 1 views
-    closed = np.zeros(tuple(length + 1 for length in padded), dtype=np.int16)
+    closed = np.zeros(tuple(length + 1 for length in padded), dtype=_COUNT)
     near, far = ((slice(start, None, edge),) * vol.ndim + (...,) for start in (0, edge - 1))
     lower, upper = ((slice(start, stop),) * vol.ndim + (...,) for start, stop in ((0, -1), (1, None)))
     near_vol, far_vol = vol[near].copy(), vol[far].copy()  # compact: every bound pass reads them
@@ -362,7 +363,7 @@ def serial_test(
     [D*, 2^k D*]; the reference bounds are attached when the sample count
     is prime (the full-period case they apply to).  The lags default to
     0, 1, ..., k - 1; a cloud beyond the exact algorithm is refused first."""
-    _check_exact(k, len(samples))
+    check_exact(k, len(samples))
     cloud = make_tuples(samples, k, range(k) if lags is None else lags)
     star = star_discrepancy(cloud)
     upper = scale = None
@@ -370,12 +371,12 @@ def serial_test(
         upper = theorem2_upper(cloud.n, k)
         scale = theorem3_lower(cloud.n, 1.0)[0]
     return DiscrepancyReport(
+        n=cloud.n,
+        k=k,
+        lags=cloud.lags,
         star=star,
         extreme_lower=star,
         extreme_upper=float(2**k) * star,
-        k=k,
-        n=cloud.n,
-        lags=cloud.lags,
         theorem2_upper=upper,
         theorem_lower_scale=scale,
     )
@@ -431,6 +432,8 @@ def chi_square_uniformity(samples: Sequence[float], bins: int) -> tuple[float, i
     u = np.asarray(samples, dtype=float)
     if u.size == 0:
         raise EmptyInput("no samples")
+    if not ((u >= 0.0) & (u < 1.0)).all():
+        raise RangeError("samples must lie in [0, 1)")
     counts = np.bincount((u * bins).astype(np.int64), minlength=bins)
     expected = u.size / bins
     return float(((counts - expected) ** 2 / expected).sum()), bins

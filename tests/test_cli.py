@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from filament_prng import prng, serialize, stattest
+from filament_prng import cli, prng, serialize, stattest
 from filament_prng.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from filament_prng.filament import PolygonConfig, RationalTime, build_polygon, circle_row, corner_angle
 from filament_prng.prng import (
@@ -285,6 +285,28 @@ def test_stats_serial_vfe_kind(capsys):
     )
     assert code == EXIT_OK
     assert json.loads(out)["n"] == 100
+
+
+def test_stats_serial_refuses_beyond_the_exact_scan_before_the_stream(capsys, monkeypatch):
+    # 2^24 - 3 samples fit the stream budget but not the scan's counts: the
+    # refusal comes before any window of the stream is built
+    def unreached(*args):
+        raise AssertionError("stream window built")
+
+    monkeypatch.setattr(cli, "eicg_stream", unreached)
+    code, out, err = run(capsys, *"stats serial --kind eicg -q 16777213 -k 2".split())
+    assert code == EXIT_USAGE and out == ""
+    assert "N <= 32767" in err
+
+
+def test_stats_serial_point_limit_at_k2(capsys):
+    # the full-period lattice of the primitive root 20245 mod 32749, the
+    # cloud the block bounds cannot prune, at the point limit and past it
+    lcg = "stats serial --kind lcg -q 32749 -a 20245 -b 0 -k 2 --lags 0,1".split()
+    code, out, _ = run(capsys, *lcg, "-n", "32767")
+    assert code == EXIT_OK and json.loads(out)["n"] == 32767
+    code, out, err = run(capsys, *lcg, "-n", "32768")
+    assert code == EXIT_USAGE and out == "" and "N <= 32767" in err
 
 
 def test_stats_randu_planes(capsys):
@@ -737,7 +759,7 @@ def test_usage_errors_leave_no_file(tmp_path, capsys, argv):
 _KIND_READS = {
     "vfe -q 7": {"-q"},
     "eicg -q 7": {"-q", "-a", "-b"},
-    "eicg-pow2 --omega 9": {"-q", "-a", "-b", "--omega"},
+    "eicg-pow2 --omega 9": {"-a", "-b", "--omega"},
     "lcg -a 3 -b 1 -q 7 -n 4": {"-q", "-a", "-b", "--x0", "--preset"},
     "lcg --preset randu -n 4": {"--preset"},
     "compound --primes 5,7 -n 4": {"--primes"},

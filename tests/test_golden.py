@@ -52,7 +52,7 @@ GOLDEN = {
         "69fcb537815a683daa9c412f58add1a6f8b687156c47c14ab4fe280b92a5e645",
     "generate --kind eicg-pow2 --omega 12 -a 6 -b 3 --format f64le":
         "47a724ecad574bc29862c2bd3b0bb9f48f32cea741dadc6958ad8a18740da705",
-    "generate --kind eicg-pow2 -q 64 --format json":
+    "generate --kind eicg-pow2 --omega 6 --format json":
         "40e3883a4a6aae98c6a2c22c5e84d4dec1fcfe7b78a08f712d8647f881fc1f6d",
     "generate --kind lcg -a 69069 -b 1 -q 65536 --x0 7 -n 40 --start 5":
         "4a91f93d163129ae2c355e61788afb19264c3e924d33094cf7ee3ba08f9d5427",

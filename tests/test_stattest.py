@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -15,12 +16,16 @@ from filament_prng.errors import (
     DomainError,
     EmptyInput,
     InvariantViolation,
+    RangeError,
     TooLarge,
 )
 from filament_prng.prng import StreamSpec, eicg_stream, lcg_stream, vfe_unit_samples
 from filament_prng.stattest import (
     MAX_EXACT_BOXES,
+    MAX_EXACT_DIM,
+    MAX_EXACT_POINTS,
     TupleCloud,
+    check_exact,
     chi2_quantile_999,
     chi_square_uniformity,
     make_tuples,
@@ -73,6 +78,22 @@ def test_make_tuples_bad_lags():
         make_tuples(samples, 2, (0, 3))  # lag beyond the period
     with pytest.raises(EmptyInput):
         make_tuples([], 2, (0, 1))
+
+
+def test_make_tuples_refuses_a_non_integer_lag():
+    # a lag of 1.5 is refused, not truncated to 1
+    with pytest.raises(BadLags):
+        make_tuples([0.1, 0.2, 0.3], 2, [0, 1.5])
+
+
+@pytest.mark.parametrize(
+    "samples", [[math.nan, 0.1, 0.2], [-0.5, 0.2, 0.3], [0.1, 1.0, 0.2]], ids=["nan", "negative", "one"]
+)
+def test_star_discrepancy_refuses_coordinates_outside_the_unit_interval(samples):
+    with pytest.raises(RangeError):
+        serial_test(samples, 2)
+    with pytest.raises(RangeError):
+        star_discrepancy(cloud_from(np.array(samples)[:, None]))
 
 
 def test_star_single_point():
@@ -150,7 +171,7 @@ def test_star_too_large():
     with pytest.raises(TooLarge):
         star_discrepancy(cloud_from(np.zeros((10, 4))))
     with pytest.raises(TooLarge):
-        star_discrepancy(cloud_from(np.linspace(0, 0.999, 5000)[:, None]))
+        star_discrepancy(cloud_from(np.linspace(0, 0.999, 40000)[:, None]))
 
 
 def test_star_box_budget():
@@ -163,6 +184,18 @@ def test_star_box_budget():
     # ties shrink the count, so a large tie-heavy cloud is admitted
     tied = np.floor(np.random.default_rng(5).random((4093, 3)) * 8) / 8
     assert star_discrepancy(cloud_from(tied)) == star_discrepancy_oracle(tied)
+
+
+def test_point_limit_is_the_largest_count():
+    # The scan counts in int16, so N = 32,767 is the largest cloud; at k = 2
+    # that is exactly the box budget's edge, (2^15)^2 = 2^30 boxes.
+    assert MAX_EXACT_POINTS == np.iinfo(stattest._COUNT).max == 2**15 - 1
+    assert (MAX_EXACT_POINTS + 1) ** 2 == MAX_EXACT_BOXES
+    n = MAX_EXACT_POINTS
+    assert star_discrepancy(cloud_from((np.arange(n) / n)[:, None])) == pytest.approx(1 / n)
+    check_exact(MAX_EXACT_DIM, n)
+    with pytest.raises(TooLarge, match="N <= 32767"):
+        check_exact(1, n + 1)
 
 
 def _scan_clouds(k: int, levels: int | None, seed: int):
@@ -285,6 +318,35 @@ def test_star_scan_skips_most_bound_passes(a, b, lags, monkeypatch):
     monkeypatch.setattr(stattest, "_bound_pass", counted)
     assert star_discrepancy(cloud) == star_scan_full_grid(cloud.points, cloud.n)
     assert 0 < len(passes) <= 2 * (cloud.n + 1) / 4
+
+
+# Primes where theorem2_upper(p, 2) is below 1 (0.9977 and 0.7217), so that
+# 4 D* <= bound can fail, with the EICG multipliers, shifts and lags read.
+_THEOREM2_PRIMES = [12553, 32749]
+_THEOREM2_STREAMS = [(4, 0, (0, 1)), (17, 5, (0, 1234)), (1234, 77, (0, 1717))]
+
+
+@pytest.mark.parametrize("p", _THEOREM2_PRIMES)
+@pytest.mark.parametrize("a,b,lags", _THEOREM2_STREAMS, ids=["a4-lag1", "a17-lag1234", "a1234-lag1717"])
+def test_theorem2_holds_at_k2_where_it_can_fail(p, a, b, lags):
+    report = serial_test(eicg_stream(StreamSpec.eicg(p, a=a, b=b), p).u, 2, lags)
+    assert report.n == p and report.theorem2_upper < 1
+    assert report.extreme_upper <= report.theorem2_upper
+
+
+def test_theorem2_fails_without_the_inversion():
+    # x_n = 4n mod p, the full period with the inversion replaced by a
+    # linear map: its pairs lie on one line, and 4 D* is near 1
+    p = _THEOREM2_PRIMES[-1]
+    report = serial_test(4 * np.arange(p) % p / p, 2, (0, 1))
+    assert report.theorem2_upper < 1
+    assert report.extreme_upper > report.theorem2_upper
+
+
+def test_star_scan_is_the_full_grid_scan_where_theorem2_can_fail():
+    p = _THEOREM2_PRIMES[0]
+    cloud = make_tuples(eicg_stream(StreamSpec.eicg(p, a=4, b=0), p).u, 2, (0, 1))
+    assert star_discrepancy(cloud) == star_scan_full_grid(cloud.points, p)
 
 
 def test_serial_test_eicg_within_bound():
@@ -451,6 +513,15 @@ def test_chi2_bin_budget_refused_before_any_work():
             chi_square_uniformity([0.5] * 10, bins)
 
 
+@pytest.mark.parametrize(
+    "samples", [[1.0, 0.2], [-0.1, 0.5], [math.nan, 0.5]], ids=["one", "negative", "nan"]
+)
+def test_chi2_refuses_samples_outside_the_unit_interval(samples):
+    # 1.0 would be counted in a bin past the last, -0.1 in bin 0
+    with pytest.raises(RangeError):
+        chi_square_uniformity(samples, 2)
+
+
 def test_chi2_rejects_empty():
     with pytest.raises(EmptyInput):
         chi_square_uniformity([], 10)
@@ -486,7 +557,7 @@ def test_report_json_round_trip():
     q = 101
     samples = eicg_stream(StreamSpec.eicg(q, a=4, b=0), q)
     report = serial_test(samples.u, 2, (0, 1))
-    payload = json.loads(json.dumps(report.as_dict()))
+    payload = json.loads(json.dumps(dataclasses.asdict(report)))
     assert set(payload) == {
         "n",
         "k",
