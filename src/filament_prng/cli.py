@@ -299,7 +299,19 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+# The suites that read each verify option, by flag and parsed attribute.
+_VERIFY_READERS = {
+    ("--qmax", "q_max"): ("gauss", "theorem1", "closure", "all"),
+    ("-M", "sides_range"): ("theorem1", "closure", "all"),
+    ("--primes", "primes"): ("compound", "all"),
+    ("--pmax", "p_max"): ("compound", "all"),
+}
+
+
 def cmd_verify(args) -> int:
+    for (flag, dest), readers in _VERIFY_READERS.items():
+        if args.suite not in readers and getattr(args, dest) is not None:
+            raise BadParameters(f"verify {args.suite} does not read {flag}")
     every = args.suite == "all"
     sweep = _given(sides_range=args.sides_range, q_max=args.q_max)
     suites = []
@@ -310,7 +322,7 @@ def cmd_verify(args) -> int:
     if every or args.suite == "closure":
         suites.append(verify_closure(**sweep))
     if every or args.suite == "compound":
-        prime_sets = (args.primes,) if args.primes else None
+        prime_sets = None if args.primes is None else (args.primes,)
         suites.append(verify_compound(**_given(prime_sets=prime_sets, p_max=args.p_max)))
     for suite in suites:
         print(suite.describe())

@@ -25,7 +25,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DegeneratePolygon, NotCoprime, RangeError, TooLarge
-from .gauss import TWO_PI, theta_sequence
+from .gauss import TWO_PI, active_indices, theta_sequence
 from .modular import phi_row
 
 # Work budget of polygon_windows: K corners cost one Python step and one
@@ -65,15 +65,13 @@ class PolygonConfig:
 
     @property
     def corner_count(self) -> int:
-        """Corners of the skew polygon over one full period."""
-        q = self.time.q
-        return self.sides * q if q % 2 else self.sides * q // 2
+        """Corners of the skew polygon over one full period: sides * L."""
+        return self.sides * len(active_indices(self.time.q))
 
     @property
     def side_length(self) -> float:
-        """Arc-length spacing between consecutive corners."""
-        q = self.time.q
-        return (2.0 if q % 2 else 4.0) * math.pi / (self.sides * q)
+        """Arc-length spacing between consecutive corners: 2 pi / (sides * L)."""
+        return TWO_PI / self.corner_count
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,14 +84,13 @@ class CornerAngle:
 
 
 def corner_angle(sides: int, q: int) -> CornerAngle:
-    """Turning angle rho with cos(rho) = 2 cos^(2/q)(pi/M) - 1 for odd q,
-    2 cos^(4/q)(pi/M) - 1 for even q."""
+    """Turning angle rho with cos(rho) = 2 cos^(2/L)(pi/M) - 1, L the
+    period len(active_indices(q)): q for odd q, q/2 for even q."""
     if sides < 3:
         raise DegeneratePolygon(f"need at least 3 sides, got {sides}")
     if q < 1:
         raise RangeError(f"q must be positive, got {q}")
-    exponent = (2.0 if q % 2 else 4.0) / q
-    c = 2.0 * math.cos(math.pi / sides) ** exponent - 1.0
+    c = 2.0 * math.cos(math.pi / sides) ** (2.0 / len(active_indices(q))) - 1.0
     c = min(c, 1.0)  # float guard; the formula never leaves (-1, 1]
     rho = math.acos(c)
     return CornerAngle(rho=rho, cos_rho=c, sin_rho=math.sin(rho))

@@ -34,6 +34,10 @@ from .modular import (
 # int64 arrays, so the budget bounds memory and time before any work.
 MAX_STREAM_SAMPLES = 2**24
 
+# Largest residual of the circle-product identity a compound stream emits;
+# the compound sweep passes below it.
+COMPOUND_TOLERANCE = 1e-9
+
 
 class StreamKind(Enum):
     EICG = "eicg"
@@ -278,34 +282,28 @@ def vfe_unit_samples(q: int, start: int = 0, count: int | None = None) -> Stream
     return Stream(residues, phis, phi_p(1, q)[1])
 
 
-def compound_identity_residual(
-    sides: int, primes: Sequence[int], ps: np.ndarray, u: np.ndarray
-) -> np.ndarray:
-    """|prod_j (c_j^2 + i z_j(p)) / s_j^2 - exp(2 pi i u)|, one residual per
-    index p with its combined phase u.
-
-    z_j(p) is the circle point of phase phi_j(p) / q_j, the quantity index 0
-    of the closed form at time p / q_j.
-    """
-    ps = np.asarray(ps, dtype=np.int64)
-    lhs = np.ones(len(ps), dtype=complex)
-    for qj in primes:
-        angle = corner_angle(sides, qj)
-        z = circle_row(angle, phi_row(ps, qj)[0] / qj)
-        lhs *= (angle.cos_rho**2 + 1j * z) / angle.sin_rho**2
-    return np.abs(lhs - np.exp(2j * math.pi * np.asarray(u, dtype=float)))
-
-
-def _compound_states(spec: StreamSpec, count: int, start: int) -> Stream:
+def compound_window(sides: int, primes: Sequence[int], count: int, start: int = 0) -> tuple[Stream, np.ndarray]:
     """The compound states x_p at the count admissible indices p from the
-    start-th, in O(log start + count) through coprime_window, assembled
-    exactly over prod(q_j) <= 2**31 by the Chinese remainder theorem (a sum
-    of terms below it), unchecked."""
+    start-th (one coprime_window, O(log start + count)), and each one's
+    residual |prod_j (c_j^2 + i z_j(p)) / s_j^2 - exp(2 pi i u_p)|, unchecked.
+
+    Each prime's phi_j(p) row is taken once, for its term of the exact
+    Chinese-remainder sum over prod(q_j) <= 2**31 and for its circle point
+    z_j(p) of phase phi_j(p) / q_j (index 0 of the closed form at p / q_j).
+    """
+    spec = StreamSpec.compound(primes)
     check_budget(count)
     modulus = spec.modulus
     ns = coprime_window(modulus, start, count)
-    x = sum(phi_row(ns, qj)[0] * (modulus // qj) for qj in spec.primes)
-    return Stream(ns, x % modulus, modulus)
+    x = np.zeros(len(ns), dtype=np.int64)
+    lhs = np.ones(len(ns), dtype=complex)
+    for qj in spec.primes:
+        phi = phi_row(ns, qj)[0]
+        x += phi * (modulus // qj)
+        angle = corner_angle(sides, qj)
+        lhs *= (angle.cos_rho**2 + 1j * circle_row(angle, phi / qj)) / angle.sin_rho**2
+    stream = Stream(ns, x % modulus, modulus)
+    return stream, np.abs(lhs - np.exp(2j * math.pi * stream.u))
 
 
 def compound_stream(sides: int, primes: Sequence[int], count: int, start: int = 0) -> Stream:
@@ -313,16 +311,13 @@ def compound_stream(sides: int, primes: Sequence[int], count: int, start: int = 
     mod q_j, over indices p coprime to every prime, ascending.
 
     x_p is assembled exactly over the common denominator prod(q_j), and
-    each emitted sample is checked against the circle-product identity
-    prod_j (c_j^2 + i z_j(p)) / s_j^2 = exp(2 pi i u_p).
+    the window is refused unless every residual of compound_window is
+    within COMPOUND_TOLERANCE.
     """
-    spec = StreamSpec.compound(primes)
-    qs = spec.primes
-    stream = _compound_states(spec, count, start)
-    residual = compound_identity_residual(sides, qs, stream.n, stream.u)
-    failing = np.flatnonzero(~(residual <= 1e-9))  # a NaN residual fails too
+    stream, residual = compound_window(sides, primes, count, start)
+    failing = np.flatnonzero(~(residual <= COMPOUND_TOLERANCE))  # a NaN residual fails too
     if failing.size:
         raise InvariantViolation(
-            f"circle-product identity violated at p={stream.n[failing[0]]} for primes {qs}"
+            f"circle-product identity violated at p={stream.n[failing[0]]} for primes {tuple(primes)}"
         )
     return stream

@@ -34,7 +34,7 @@ from .gauss import (
     theta_sequence,
 )
 from .modular import coprime_count, coprime_window, euler_totient
-from .prng import MAX_STREAM_SAMPLES, StreamSpec, _compound_states, compound_identity_residual
+from .prng import COMPOUND_TOLERANCE, MAX_STREAM_SAMPLES, StreamSpec, compound_window
 
 # Work budget of one sweep, in units of one matrix or Gauss-sum term: an
 # upper bound computed from the parameters alone, before any work.
@@ -178,7 +178,7 @@ def _polygon_sweep(
     sides = range(sides_lo, sides_hi + 1)
     rows = []
     for q in range(1, q_max + 1):
-        corners = sides_hi * q if q % 2 else sides_hi * q // 2
+        corners = sides_hi * len(active_indices(q))
         residues = _sweep_residues(q)
         for part in _chunks(len(residues), corners):
             ps = residues[part]
@@ -233,24 +233,18 @@ def verify_closure(
 def verify_compound(
     prime_sets: Sequence[Sequence[int]] = ((5, 7), (11, 13, 17)),
     p_max: int = 10_000,
-    sides: int = 3,
 ) -> SuiteResult:
-    """Circle-product identity over every admissible index p <= p_max.
-
-    Each stream is built without compound_stream's own check, in windows
-    of at most _COMPOUND_WINDOW admissible p, and the identity is
-    evaluated over each window to record the worst residual.
-    """
+    """Worst residual of the circle-product identity at M = 3 sides, the
+    CLI's default, over every admissible index p <= p_max, read from
+    compound_window in windows of at most _COMPOUND_WINDOW admissible p."""
     if p_max > MAX_STREAM_SAMPLES:
         raise TooLarge(f"compound sweep limited to p <= {MAX_STREAM_SAMPLES} (2**24), got {p_max}")
     rows = []
     for primes in prime_sets:
-        spec = StreamSpec.compound(primes)
-        count = coprime_count(spec.modulus, p_max)
-        peaks = []
-        for start in range(0, count, _COMPOUND_WINDOW):
-            stream = _compound_states(spec, min(_COMPOUND_WINDOW, count - start), start)
-            residual = compound_identity_residual(sides, spec.primes, stream.n, stream.u)
-            peaks.append(np.max(residual))
+        count = coprime_count(StreamSpec.compound(primes).modulus, p_max)
+        peaks = [
+            np.max(compound_window(3, primes, min(_COMPOUND_WINDOW, count - start), start)[1])
+            for start in range(0, count, _COMPOUND_WINDOW)
+        ]
         rows.append((float(np.max(peaks, initial=0.0)), count))
-    return _suite("compound", rows, 1e-9)
+    return _suite("compound", rows, COMPOUND_TOLERANCE)

@@ -187,6 +187,8 @@ def test_bad_subcommand_usage_exit(capsys):
         "verify closure -M 0..-1 --qmax 1000000000",
         "verify closure --qmax -5",
         "verify compound --pmax 0",
+        # an empty prime list, refused rather than read as the default sets
+        "verify compound --primes , --pmax 100",
     ],
 )
 def test_usage_errors_exit_2_without_traceback(capsys, argv):
@@ -199,9 +201,13 @@ def test_usage_errors_exit_2_without_traceback(capsys, argv):
 
 
 def test_invariant_failure_exits_3_without_traceback(capsys, monkeypatch):
-    monkeypatch.setattr(
-        prng, "compound_identity_residual", lambda sides, primes, ps, u: np.ones(len(ps))
-    )
+    window = prng.compound_window
+
+    def broken(*args):
+        stream, residual = window(*args)
+        return stream, np.ones(len(residual))
+
+    monkeypatch.setattr(prng, "compound_window", broken)
     code, out, err = run(capsys, "generate", "--kind", "compound", "--primes", "5,7", "-n", "3")
     assert code == EXIT_VERIFY
     assert out == ""
@@ -478,9 +484,10 @@ NEEDED = {
 def argvs(draw):
     """One argv for any subcommand and stream kind, drawn from the pools.
 
-    In about half the examples every option takes a valid value and the
-    options a command needs are present; in the rest any option may be
-    missing or take any pooled value.
+    In about half the examples every option takes a valid value, the
+    options a command needs are present and a verify suite gets only the
+    options it reads; in the rest any option may be missing or take any
+    pooled value.
     """
     valid = draw(st.booleans())
 
@@ -496,12 +503,16 @@ def argvs(draw):
     command = draw(st.sampled_from(["generate", "serial", "chi2", "randu-planes", "verify", "polygon"]))
     if command == "verify":
         suite = draw(st.sampled_from(["gauss", "theorem1", "closure", "compound", "all"]))
+
+        def given(*readers):  # a valid example gives only the options its suite reads
+            return not valid or suite in readers + ("all",)
+
         return (
             ["verify", suite]
-            + option("--qmax", QMAX, always=True)
-            + option("--pmax", PMAX, always=True)
-            + option("-M", SIDE_RANGES)
-            + option("--primes", PRIME_LISTS)
+            + (option("--qmax", QMAX, always=True) if given("gauss", "theorem1", "closure") else [])
+            + (option("--pmax", PMAX, always=True) if given("compound") else [])
+            + (option("-M", SIDE_RANGES) if given("theorem1", "closure") else [])
+            + (option("--primes", PRIME_LISTS) if given("compound") else [])
         )
     if command == "polygon":
         return (
@@ -680,12 +691,14 @@ def _fail_in_second_window(monkeypatch) -> list:
     """Make the compound identity check pass on the first window and fail
     on every later one; returns the window lengths it saw."""
     calls = []
+    window = prng.compound_window
 
-    def residual(sides, primes, ps, u):
-        calls.append(len(ps))
-        return np.full(len(ps), 0.0 if len(calls) == 1 else 1.0)
+    def failing(*args):
+        stream, _ = window(*args)
+        calls.append(len(stream))
+        return stream, np.full(len(stream), 0.0 if len(calls) == 1 else 1.0)
 
-    monkeypatch.setattr(prng, "compound_identity_residual", residual)
+    monkeypatch.setattr(prng, "compound_window", failing)
     return calls
 
 
@@ -783,3 +796,33 @@ def test_stray_stream_flags_are_refused(tmp_path, capsys, kind, flag):
     assert code == EXIT_USAGE
     assert err.startswith("error: ") and err.rstrip().endswith(f"does not read {flag}")
     assert not target.exists()
+
+
+# Each verify suite with small values of the options it reads.
+_SUITE_READS = {
+    "gauss": ["--qmax", "5"],
+    "theorem1": ["-M", "3..4", "--qmax", "5"],
+    "closure": ["-M", "3..4", "--qmax", "5"],
+    "compound": ["--primes", "5,7", "--pmax", "50"],
+}
+_VERIFY_VALUES = {"--qmax": "5", "-M": "3..4", "--primes": "5,7", "--pmax": "50"}
+
+
+@pytest.mark.parametrize(
+    "suite,flag",
+    [(suite, flag) for suite, reads in _SUITE_READS.items() for flag in _VERIFY_VALUES if flag not in reads],
+)
+def test_stray_verify_options_are_refused(capsys, suite, flag):
+    # an option the suite does not read is refused by name, not dropped
+    assert run(capsys, "verify", suite, *_SUITE_READS[suite])[0] == EXIT_OK
+    code, out, err = run(capsys, "verify", suite, *_SUITE_READS[suite], flag, _VERIFY_VALUES[flag])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: verify {suite} does not read {flag}\n"
+
+
+def test_verify_all_reads_every_option(capsys):
+    every = [part for pair in _VERIFY_VALUES.items() for part in pair]
+    code, out, _ = run(capsys, "verify", "all", *every)
+    assert code == EXIT_OK
+    assert len(out.splitlines()) == 5

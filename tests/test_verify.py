@@ -171,14 +171,13 @@ def test_compound_sweep_small():
 
 def test_compound_sweep_evaluates_identity_once_per_stream(monkeypatch):
     calls = []
-    residual = prng.compound_identity_residual
+    window = prng.compound_window
 
     def counted(*args):
         calls.append(args[1])
-        return residual(*args)
+        return window(*args)
 
-    monkeypatch.setattr(prng, "compound_identity_residual", counted)
-    monkeypatch.setattr(verify, "compound_identity_residual", counted)
+    monkeypatch.setattr(verify, "compound_window", counted)
     assert verify_compound(((5, 7), (11, 13, 17)), 1000).passed
     assert calls == [(5, 7), (11, 13, 17)]
 
@@ -186,20 +185,36 @@ def test_compound_sweep_evaluates_identity_once_per_stream(monkeypatch):
 def test_compound_sweep_windows_give_the_whole_stream_result(monkeypatch):
     whole = verify_compound(((5, 7), (11, 13, 17)), 3000)
     sizes = []
-    residual = prng.compound_identity_residual
+    window = prng.compound_window
 
-    def counted(sides, primes, ps, u):
-        sizes.append(len(ps))
-        out = residual(sides, primes, ps, u)
-        return np.full(len(ps), np.nan) if len(sizes) == 8 else out
+    def counted(*args):
+        stream, residual = window(*args)
+        sizes.append(len(stream))
+        return stream, np.full(len(stream), np.nan) if len(sizes) == 8 else residual
 
     monkeypatch.setattr(verify, "_COMPOUND_WINDOW", 500)
     assert verify_compound(((5, 7), (11, 13, 17)), 3000) == whole
-    monkeypatch.setattr(verify, "compound_identity_residual", counted)
+    monkeypatch.setattr(verify, "compound_window", counted)
     windowed = verify_compound(((5, 7), (11, 13, 17)), 3000)
     assert windowed.cases == whole.cases == sum(sizes)
     assert max(sizes) == 500 and len(sizes) == 5 + 5  # 2058 and 2238 admissible p
     assert not windowed.passed  # a NaN residual in any window fails the suite
+
+
+def test_compound_window_takes_one_phi_row_per_prime(monkeypatch):
+    calls = []
+    phi_row = prng.phi_row
+
+    def counted(ps, q):
+        calls.append(q)
+        return phi_row(ps, q)
+
+    monkeypatch.setattr(prng, "phi_row", counted)
+    prng.compound_stream(3, (11, 13, 17), 64)
+    assert calls == [11, 13, 17]
+    calls.clear()
+    assert verify_compound(((11, 13, 17),), 1000).passed  # one window
+    assert calls == [11, 13, 17]
 
 
 def test_sweep_batches_stay_under_the_chunk_cap(monkeypatch):
